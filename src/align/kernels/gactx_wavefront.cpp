@@ -58,18 +58,6 @@ struct ScalarPolicy {
     }
 };
 
-struct ScalarScoreOnlyPolicy {
-    explicit ScalarScoreOnlyPolicy(const GactXDiagCtx&) {}
-
-    void
-    diagonal(const GactXDiagCtx& ctx, std::size_t dd, std::size_t rlo,
-             std::size_t rhi) const
-    {
-        for (std::size_t r = rlo; r <= rhi; ++r)
-            gactx_cell_score_only(ctx, dd, r);
-    }
-};
-
 }  // namespace
 
 TileResult
@@ -78,15 +66,6 @@ gactx_wavefront_scalar(std::span<const std::uint8_t> target,
                        const GactXParams& params)
 {
     return gactx_align_wavefront<ScalarPolicy>(target, query, params);
-}
-
-TileResult
-gactx_wavefront_scalar_score_only(std::span<const std::uint8_t> target,
-                                  std::span<const std::uint8_t> query,
-                                  const GactXParams& params)
-{
-    return gactx_align_wavefront<ScalarScoreOnlyPolicy,
-                                 /*kScoreOnly=*/true>(target, query, params);
 }
 
 }  // namespace darwin::align::kernels

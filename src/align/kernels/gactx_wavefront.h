@@ -119,57 +119,7 @@ gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
         *byte = code;  // assigning zeroes the (yet unwritten) high nibble
 }
 
-/**
- * gactx_cell without the pointer-nibble store — the same DP recurrence,
- * column-best update and buffer writes, so a score-only pass visits the
- * identical cell set and produces the identical score trajectory.
- */
-inline void
-gactx_cell_score_only(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
-{
-    const std::size_t s = r + 1;
-    const std::size_t col = dd - r;
-
-    const Score left_v = c.vd1[s];
-    const Score h_open = left_v - c.open;
-    const Score h_ext = c.hd1[s] - c.extend;
-    const Score h = h_open >= h_ext ? h_open : h_ext;
-
-    const Score g_open = c.vd1[s - 1] - c.open;
-    const Score g_ext = c.gd1[s - 1] - c.extend;
-    const Score g = g_open >= g_ext ? g_open : g_ext;
-
-    const std::size_t j = c.fdc + col;
-    Score val = c.vd2[s - 1] +
-                c.sub[c.t[j - 1] * seq::kNumCodes + c.q[r]];
-    if (h > val)
-        val = h;
-    if (g > val)
-        val = g;
-
-    c.vcur[s] = val;
-    c.gcur[s] = g;
-    c.hcur[s] = h;
-
-    if (val > c.colmax[col]) {
-        c.colmax[col] = val;
-        c.colbest[col] = static_cast<std::int32_t>(r);
-    }
-}
-
-/**
- * `kScoreOnly` elides every traceback side effect — the ptr_rows
- * staging buffer, the PointerGrid rows and the final trace — while
- * keeping the DP, the X-drop walk and *all* accounting
- * (cells_computed, stripe_columns, traceback_bytes, budget charges)
- * identical. Because vmax starts at 0 and only strictly-greater column
- * bests move it, max_score == 0 iff the best cell is the origin iff
- * the CIGAR is empty: a score-only result with max_score == 0 is the
- * complete bit-identical TileResult for that (dead) tile. A
- * kScoreOnly Policy must route cells through gactx_cell_score_only
- * (ctx.ptr_rows is not sized for writing).
- */
-template <class Policy, bool kScoreOnly = false>
+template <class Policy>
 TileResult
 gactx_align_wavefront(std::span<const std::uint8_t> target,
                       std::span<const std::uint8_t> query,
@@ -250,10 +200,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         const std::size_t num_cols = n - fdc + 1;
         const std::size_t base = (jstart == 0) ? 1 : 0;
         const std::size_t stride = (base + num_cols + 1) / 2;
-        if constexpr (!kScoreOnly) {
-            if (ws.ptr_rows.size() < rows * stride)
-                ws.ptr_rows.resize(rows * stride);
-        }
+        if (ws.ptr_rows.size() < rows * stride)
+            ws.ptr_rows.resize(rows * stride);
 
         // Column-0 boundary values per lane (-gap_cost(i0 + r) when the
         // window touches column 0, pruned otherwise). These seed each
@@ -282,11 +230,9 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
 
         if (jstart == 0) {
             // Boundary column: one leading-query-gap cell per lane.
-            if constexpr (!kScoreOnly) {
-                for (std::size_t r = 0; r < rows; ++r)
-                    ws.ptr_rows[r * stride] = detail::pack_pointer(
-                        detail::kVGap, false, i0 + r == 1);
-            }
+            for (std::size_t r = 0; r < rows; ++r)
+                ws.ptr_rows[r * stride] = detail::pack_pointer(
+                    detail::kVGap, false, i0 + r == 1);
             out.cells_computed += rows;
             next_v[0] = ws.init_left[rows - 1];
             next_g[0] = ws.init_left[rows - 1];
@@ -390,10 +336,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         const std::uint64_t traceback_before = traceback_bytes;
         for (std::size_t r = 0; r < rows; ++r) {
             traceback_bytes += (row_len + 1) / 2;
-            if constexpr (!kScoreOnly)
-                grid.add_packed_row(jstart,
-                                    ws.ptr_rows.data() + r * stride,
-                                    row_len);
+            grid.add_packed_row(jstart, ws.ptr_rows.data() + r * stride,
+                                row_len);
         }
         if (traceback_bytes > params.traceback_bytes)
             out_of_memory = true;
@@ -416,11 +360,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     out.target_max = best_j;
     out.query_max = best_i;
     out.traceback_bytes = traceback_bytes;
-    if constexpr (!kScoreOnly) {
-        if (best_i != 0 || best_j != 0)
-            out.cigar =
-                detail::trace_from(grid, target, query, best_i, best_j);
-    }
+    if (best_i != 0 || best_j != 0)
+        out.cigar = detail::trace_from(grid, target, query, best_i, best_j);
     return out;
 }
 

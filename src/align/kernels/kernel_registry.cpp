@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "align/batch.h"
 #include "align/kernels/bsw_kernels.h"
 #include "align/kernels/cpu_features.h"
 #include "util/logging.h"
@@ -24,8 +23,7 @@ KernelRegistry::KernelRegistry() {
     kernels_.push_back(KernelImpl{/*id=*/0, "scalar", /*compiled=*/true,
                                   /*cpu_ok=*/true, &bsw_wavefront_scalar,
                                   &ungapped_xdrop_scalar,
-                                  &gactx_wavefront_scalar,
-                                  &gactx_wavefront_scalar_score_only});
+                                  &gactx_wavefront_scalar});
 
     const KernelOps* sse42 = sse42_kernel_ops();
     kernels_.push_back(KernelImpl{
@@ -34,10 +32,7 @@ KernelRegistry::KernelRegistry() {
         sse42 != nullptr && sse42->ungapped != nullptr ? sse42->ungapped
                                                        : &ungapped_xdrop_scalar,
         sse42 != nullptr && sse42->gactx != nullptr ? sse42->gactx
-                                                    : &gactx_wavefront_scalar,
-        sse42 != nullptr && sse42->gactx_score_only != nullptr
-            ? sse42->gactx_score_only
-            : &gactx_wavefront_scalar_score_only});
+                                                    : &gactx_wavefront_scalar});
 
     const KernelOps* avx2 = avx2_kernel_ops();
     kernels_.push_back(KernelImpl{
@@ -46,33 +41,12 @@ KernelRegistry::KernelRegistry() {
         avx2 != nullptr && avx2->ungapped != nullptr ? avx2->ungapped
                                                      : &ungapped_xdrop_scalar,
         avx2 != nullptr && avx2->gactx != nullptr ? avx2->gactx
-                                                  : &gactx_wavefront_scalar,
-        avx2 != nullptr && avx2->gactx_score_only != nullptr
-            ? avx2->gactx_score_only
-            : &gactx_wavefront_scalar_score_only});
+                                                  : &gactx_wavefront_scalar});
 
     active_.store(&best_usable(), std::memory_order_release);
 
     if (const char* env = std::getenv(kEnvVar); env != nullptr && *env != '\0')
         select(env);
-
-    // The batch backend table (align/batch.h). Ids are stable — they
-    // are published as the wga.batch.backend gauge value. cycle-model
-    // lives in src/hw/backend_cycle.cpp; the static-library link
-    // resolves it just like the per-ISA kernel_ops hooks.
-    backends_.push_back(BackendImpl{/*id=*/0, "serial", serial_backend()});
-    backends_.push_back(
-        BackendImpl{/*id=*/1, "cpu-scalar", cpu_scalar_backend()});
-    backends_.push_back(
-        BackendImpl{/*id=*/2, "cpu-simd", cpu_simd_backend()});
-    backends_.push_back(
-        BackendImpl{/*id=*/3, "cycle-model", cycle_model_backend()});
-    active_backend_.store(find_backend("cpu-simd"),
-                          std::memory_order_release);
-
-    if (const char* env = std::getenv(kBackendEnvVar);
-        env != nullptr && *env != '\0')
-        select_backend(env);
 }
 
 const KernelImpl& KernelRegistry::best_usable() const {
@@ -113,32 +87,6 @@ void KernelRegistry::select(const std::string& name) {
         fatal(msg.str());
     }
     active_.store(k, std::memory_order_release);
-}
-
-const BackendImpl* KernelRegistry::find_backend(const std::string& name) const {
-    for (const BackendImpl& b : backends_)
-        if (name == b.name)
-            return &b;
-    return nullptr;
-}
-
-void KernelRegistry::select_backend(const std::string& name) {
-    if (name == "auto") {
-        active_backend_.store(find_backend("cpu-simd"),
-                              std::memory_order_release);
-        return;
-    }
-    const BackendImpl* b = find_backend(name);
-    if (b == nullptr) {
-        std::ostringstream msg;
-        msg << "DARWIN_BACKEND/--backend: unknown backend '" << name
-            << "' (valid: auto";
-        for (const BackendImpl& cand : backends_)
-            msg << ", " << cand.name;
-        msg << ")";
-        fatal(msg.str());
-    }
-    active_backend_.store(b, std::memory_order_release);
 }
 
 }  // namespace darwin::align::kernels

@@ -13,17 +13,13 @@
  *
  * `banded_smith_waterman()`, `ungapped_xdrop_extend()` and
  * `GactXTileAligner::align_tile()` are thin façades over the active
- * entry, so every caller (wga/filter_stage, wga/extend_stage, the batch
- * scheduler, benches) transparently picks up the fast path. The active
- * id is published as the `wga.filter.kernel` and `wga.extend.kernel`
- * gauges.
- *
- * The registry also hosts the *batch backend* table (align/batch.h):
- * how many-tile batches execute, orthogonal to which kernel computes a
- * tile. Overridden with `DARWIN_BACKEND` or `--backend`, taking
- * `auto|serial|cpu-scalar|cpu-simd|cycle-model` ("auto" resolves to
- * cpu-simd). The active backend id is published as the
- * `wga.batch.backend` gauge.
+ * entry. They are the only execution path: the filter stage calls the
+ * BSW façade once per seed hit and the extension stage the GACT-X
+ * façade once per tile, so every caller (wga/filter_stage,
+ * wga/extend_stage, the batch scheduler, benches) transparently picks
+ * up the fast path. The active id is published as the
+ * `wga.filter.kernel` and `wga.extend.kernel` gauges
+ * (wga::publish_kernel_gauges).
  */
 #ifndef DARWIN_ALIGN_KERNELS_KERNEL_REGISTRY_H
 #define DARWIN_ALIGN_KERNELS_KERNEL_REGISTRY_H
@@ -35,10 +31,6 @@
 #include "align/banded_sw.h"
 #include "align/kernels/gactx_kernels.h"
 #include "align/ungapped_xdrop.h"
-
-namespace darwin::align {
-class AlignBackend;
-}
 
 namespace darwin::align::kernels {
 
@@ -62,10 +54,6 @@ struct KernelImpl {
     BswKernelFn bsw = nullptr;
     UngappedKernelFn ungapped = nullptr;
     GactXKernelFn gactx = nullptr;
-    /** GACT-X score-only variant (no traceback machinery): same scores
-     *  and accounting as gactx, empty CIGAR. Used by the cpu-simd
-     *  backend's score-only probe pass (align/batch.h). */
-    GactXKernelFn gactx_score_only = nullptr;
 
     bool usable() const { return compiled && cpu_ok && bsw != nullptr; }
 };
@@ -80,18 +68,15 @@ struct KernelOps {
     BswKernelFn bsw = nullptr;
     UngappedKernelFn ungapped = nullptr;  ///< nullptr: fall back to scalar
     GactXKernelFn gactx = nullptr;        ///< nullptr: fall back to scalar
-    GactXKernelFn gactx_score_only = nullptr;  ///< ditto
 };
 const KernelOps* sse42_kernel_ops();
 const KernelOps* avx2_kernel_ops();
 
-/** One registered batch backend (align/batch.h). Every backend is
- *  always usable — batching strategy does not depend on the CPU. */
+/** Names the single execution path (one façade call per tile) for
+ *  reports that print an execution-backend id next to the kernel. */
 struct BackendImpl {
-    int id = 0;             ///< stable: 0 serial, 1 cpu-scalar,
-                            ///<         2 cpu-simd, 3 cycle-model
-    const char* name = "";  ///< the DARWIN_BACKEND spelling
-    const AlignBackend* backend = nullptr;
+    int id = 0;
+    const char* name = "serial";
 };
 
 /**
@@ -106,7 +91,6 @@ struct BackendImpl {
 class KernelRegistry {
   public:
     static constexpr const char* kEnvVar = "DARWIN_KERNEL";
-    static constexpr const char* kBackendEnvVar = "DARWIN_BACKEND";
 
     static KernelRegistry& instance();
 
@@ -128,22 +112,8 @@ class KernelRegistry {
     /** Lookup by name; nullptr when unknown (no fatal). */
     const KernelImpl* find(const std::string& name) const;
 
-    /** All batch backends in id order. */
-    const std::vector<BackendImpl>& backends() const { return backends_; }
-
-    /** The backend the staging layers dispatch batches through. */
-    const BackendImpl& active_backend() const {
-        return *active_backend_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Select a batch backend: "auto" (cpu-simd) or an exact backend
-     * name. fatal() on an unknown name, mirroring select().
-     */
-    void select_backend(const std::string& name);
-
-    /** Lookup by name; nullptr when unknown (no fatal). */
-    const BackendImpl* find_backend(const std::string& name) const;
+    /** The execution path: always {0, "serial"}. */
+    static constexpr BackendImpl active_backend() { return {}; }
 
     KernelRegistry(const KernelRegistry&) = delete;
     KernelRegistry& operator=(const KernelRegistry&) = delete;
@@ -155,8 +125,6 @@ class KernelRegistry {
 
     std::vector<KernelImpl> kernels_;
     std::atomic<const KernelImpl*> active_{nullptr};
-    std::vector<BackendImpl> backends_;
-    std::atomic<const BackendImpl*> active_backend_{nullptr};
 };
 
 }  // namespace darwin::align::kernels

@@ -407,7 +407,6 @@ ungapped_avx2(std::span<const std::uint8_t> target,
  * Pointer nibbles alternate parity lane to lane, so the packed codes
  * are spilled once and stored with eight scalar byte ops.
  */
-template <bool kScoreOnly>
 struct GactXAvx2Policy {
     __m256i vopen_, vext_, krev_, iota_;
     __m256i kdiag_, khgap_, kvgap_, khopen_, kvopen_;
@@ -486,48 +485,34 @@ struct GactXAvx2Policy {
                     _mm256_blendv_epi8(cb, rrev, upd));
             }
 
-            // Pointer nibbles only exist on the traceback path; the
-            // score-only instantiation elides the packed-code blend and
-            // the scalar spill entirely.
-            if constexpr (!kScoreOnly) {
-                const __m256i not_hopen =
-                    _mm256_cmpgt_epi32(h_ext, h_open);
-                const __m256i not_vopen =
-                    _mm256_cmpgt_epi32(g_ext, g_open);
-                const __m256i mh = _mm256_cmpgt_epi32(h, dval);
-                const __m256i mg = _mm256_cmpgt_epi32(g, vh);
-                __m256i code = _mm256_blendv_epi8(kdiag_, khgap_, mh);
-                code = _mm256_blendv_epi8(code, kvgap_, mg);
-                code = _mm256_or_si256(
-                    code, _mm256_andnot_si256(not_hopen, khopen_));
-                code = _mm256_or_si256(
-                    code, _mm256_andnot_si256(not_vopen, kvopen_));
+            const __m256i not_hopen = _mm256_cmpgt_epi32(h_ext, h_open);
+            const __m256i not_vopen = _mm256_cmpgt_epi32(g_ext, g_open);
+            const __m256i mh = _mm256_cmpgt_epi32(h, dval);
+            const __m256i mg = _mm256_cmpgt_epi32(g, vh);
+            __m256i code = _mm256_blendv_epi8(kdiag_, khgap_, mh);
+            code = _mm256_blendv_epi8(code, kvgap_, mg);
+            code = _mm256_or_si256(code,
+                                   _mm256_andnot_si256(not_hopen, khopen_));
+            code = _mm256_or_si256(code,
+                                   _mm256_andnot_si256(not_vopen, kvopen_));
 
-                alignas(32) std::int32_t codes[8];
-                _mm256_store_si256(reinterpret_cast<__m256i*>(codes),
-                                   code);
-                std::size_t nib = c.base + dd - r;
-                std::uint8_t* row = c.ptr_rows + r * c.stride;
-                for (int k = 0; k < 8; ++k) {
-                    std::uint8_t* byte = row + (nib >> 1);
-                    const std::uint8_t cd =
-                        static_cast<std::uint8_t>(codes[k]);
-                    if ((nib & 1) != 0)
-                        *byte =
-                            static_cast<std::uint8_t>(*byte | (cd << 4));
-                    else
-                        *byte = cd;
-                    --nib;
-                    row += c.stride;
-                }
+            alignas(32) std::int32_t codes[8];
+            _mm256_store_si256(reinterpret_cast<__m256i*>(codes), code);
+            std::size_t nib = c.base + dd - r;
+            std::uint8_t* row = c.ptr_rows + r * c.stride;
+            for (int k = 0; k < 8; ++k) {
+                std::uint8_t* byte = row + (nib >> 1);
+                const std::uint8_t cd = static_cast<std::uint8_t>(codes[k]);
+                if ((nib & 1) != 0)
+                    *byte = static_cast<std::uint8_t>(*byte | (cd << 4));
+                else
+                    *byte = cd;
+                --nib;
+                row += c.stride;
             }
         }
-        for (; r <= rhi; ++r) {
-            if constexpr (kScoreOnly)
-                gactx_cell_score_only(c, dd, r);
-            else
-                gactx_cell(c, dd, r);
-        }
+        for (; r <= rhi; ++r)
+            gactx_cell(c, dd, r);
     }
 };
 
@@ -535,24 +520,13 @@ TileResult
 gactx_avx2(std::span<const std::uint8_t> target,
            std::span<const std::uint8_t> query, const GactXParams& params)
 {
-    return gactx_align_wavefront<GactXAvx2Policy<false>>(target, query,
-                                                         params);
-}
-
-TileResult
-gactx_avx2_score_only(std::span<const std::uint8_t> target,
-                      std::span<const std::uint8_t> query,
-                      const GactXParams& params)
-{
-    return gactx_align_wavefront<GactXAvx2Policy<true>, true>(target, query,
-                                                              params);
+    return gactx_align_wavefront<GactXAvx2Policy>(target, query, params);
 }
 
 }  // namespace
 
 const KernelOps* avx2_kernel_ops() {
-    static const KernelOps ops{&bsw_avx2, &ungapped_avx2, &gactx_avx2,
-                               &gactx_avx2_score_only};
+    static const KernelOps ops{&bsw_avx2, &ungapped_avx2, &gactx_avx2};
     return &ops;
 }
 

@@ -190,7 +190,6 @@ bsw_sse42(std::span<const std::uint8_t> target,
  * substitution scores gathered scalar-wise (SSE has no gather). All
  * integer ops are exact, so results are bit-identical to scalar.
  */
-template <bool kScoreOnly>
 struct GactXSse42Policy {
     __m128i vopen_, vext_, iota_;
     __m128i kdiag_, khgap_, kvgap_, khopen_, kvopen_;
@@ -273,45 +272,32 @@ struct GactXSse42Policy {
                     _mm_blendv_epi8(cb, rrev, upd));
             }
 
-            // Pointer nibbles only exist on the traceback path; the
-            // score-only instantiation elides the packed-code blend and
-            // the scalar spill entirely.
-            if constexpr (!kScoreOnly) {
-                const __m128i not_hopen = _mm_cmpgt_epi32(h_ext, h_open);
-                const __m128i not_vopen = _mm_cmpgt_epi32(g_ext, g_open);
-                const __m128i mh = _mm_cmpgt_epi32(h, dval);
-                const __m128i mg = _mm_cmpgt_epi32(g, vh);
-                __m128i code = _mm_blendv_epi8(kdiag_, khgap_, mh);
-                code = _mm_blendv_epi8(code, kvgap_, mg);
-                code = _mm_or_si128(code,
-                                    _mm_andnot_si128(not_hopen, khopen_));
-                code = _mm_or_si128(code,
-                                    _mm_andnot_si128(not_vopen, kvopen_));
+            const __m128i not_hopen = _mm_cmpgt_epi32(h_ext, h_open);
+            const __m128i not_vopen = _mm_cmpgt_epi32(g_ext, g_open);
+            const __m128i mh = _mm_cmpgt_epi32(h, dval);
+            const __m128i mg = _mm_cmpgt_epi32(g, vh);
+            __m128i code = _mm_blendv_epi8(kdiag_, khgap_, mh);
+            code = _mm_blendv_epi8(code, kvgap_, mg);
+            code = _mm_or_si128(code, _mm_andnot_si128(not_hopen, khopen_));
+            code = _mm_or_si128(code, _mm_andnot_si128(not_vopen, kvopen_));
 
-                alignas(16) std::int32_t codes[4];
-                _mm_store_si128(reinterpret_cast<__m128i*>(codes), code);
-                std::size_t nib = c.base + dd - r;
-                std::uint8_t* row = c.ptr_rows + r * c.stride;
-                for (int k = 0; k < 4; ++k) {
-                    std::uint8_t* byte = row + (nib >> 1);
-                    const std::uint8_t cd =
-                        static_cast<std::uint8_t>(codes[k]);
-                    if ((nib & 1) != 0)
-                        *byte =
-                            static_cast<std::uint8_t>(*byte | (cd << 4));
-                    else
-                        *byte = cd;
-                    --nib;
-                    row += c.stride;
-                }
+            alignas(16) std::int32_t codes[4];
+            _mm_store_si128(reinterpret_cast<__m128i*>(codes), code);
+            std::size_t nib = c.base + dd - r;
+            std::uint8_t* row = c.ptr_rows + r * c.stride;
+            for (int k = 0; k < 4; ++k) {
+                std::uint8_t* byte = row + (nib >> 1);
+                const std::uint8_t cd = static_cast<std::uint8_t>(codes[k]);
+                if ((nib & 1) != 0)
+                    *byte = static_cast<std::uint8_t>(*byte | (cd << 4));
+                else
+                    *byte = cd;
+                --nib;
+                row += c.stride;
             }
         }
-        for (; r <= rhi; ++r) {
-            if constexpr (kScoreOnly)
-                gactx_cell_score_only(c, dd, r);
-            else
-                gactx_cell(c, dd, r);
-        }
+        for (; r <= rhi; ++r)
+            gactx_cell(c, dd, r);
     }
 };
 
@@ -319,17 +305,7 @@ TileResult
 gactx_sse42(std::span<const std::uint8_t> target,
             std::span<const std::uint8_t> query, const GactXParams& params)
 {
-    return gactx_align_wavefront<GactXSse42Policy<false>>(target, query,
-                                                          params);
-}
-
-TileResult
-gactx_sse42_score_only(std::span<const std::uint8_t> target,
-                       std::span<const std::uint8_t> query,
-                       const GactXParams& params)
-{
-    return gactx_align_wavefront<GactXSse42Policy<true>, true>(target, query,
-                                                               params);
+    return gactx_align_wavefront<GactXSse42Policy>(target, query, params);
 }
 
 }  // namespace
@@ -337,8 +313,7 @@ gactx_sse42_score_only(std::span<const std::uint8_t> target,
 const KernelOps* sse42_kernel_ops() {
     // No dedicated ungapped kernel: without a hardware gather the block
     // formulation is a wash, so the registry falls back to scalar.
-    static const KernelOps ops{&bsw_sse42, nullptr, &gactx_sse42,
-                               &gactx_sse42_score_only};
+    static const KernelOps ops{&bsw_sse42, nullptr, &gactx_sse42};
     return &ops;
 }
 

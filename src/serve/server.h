@@ -130,14 +130,8 @@ struct ServerOptions {
     fault::BreakerOptions breaker;
 
     /** Parameter transform for degraded serving; shared with the
-     *  batch engine's degraded retry, plus the score-only probe pass
-     *  (cheap wall time on the dead-heavy work overload brings). */
-    fault::DegradePolicy degrade = {.band_divisor = 2,
-                                    .min_band = 8,
-                                    .ydrop_divisor = 2,
-                                    .min_ydrop = 100,
-                                    .max_hits_per_chunk = 256,
-                                    .force_probe = true};
+     *  batch engine's degraded retry. */
+    fault::DegradePolicy degrade;
 };
 
 /** The request-processing core; transports plug in around it. */

@@ -192,18 +192,16 @@ class WgaPipeline {
         obs::MetricsRegistry* metrics = nullptr) const;
 
   private:
-    WgaResult run_impl(const seed::SeedIndex& index,
-                       const seq::Sequence& target,
-                       const seq::Sequence& query, WgaResult result,
-                       ThreadPool* pool,
+    /** Strand loop + chain over byte (seq::Sequence) or 2-bit
+     *  (seq::PackedSequence) storage; defined in pipeline.cpp. */
+    template <class Seq>
+    WgaResult run_impl(const seed::SeedIndex& index, const Seq& target,
+                       const Seq& query, WgaResult result, ThreadPool* pool,
                        obs::MetricsRegistry* metrics) const;
 
-    /** Strand loop + chain over packed storage (streaming.cpp). */
-    WgaResult run_packed_impl(const seed::SeedIndex& index,
-                              const seq::PackedSequence& target,
-                              const seq::PackedSequence& query,
-                              WgaResult result, ThreadPool* pool,
-                              obs::MetricsRegistry* metrics) const;
+    /** Chain result.alignments into result.chains (the last stage of
+     *  every entry point). */
+    void run_chain(WgaResult& result, obs::MetricsRegistry* metrics) const;
 
     WgaParams params_;
     chain::ChainParams chain_params_;
@@ -221,6 +219,14 @@ class WgaPipeline {
 void publish_pipeline_stats(obs::MetricsRegistry& metrics,
                             const PipelineStats& stats,
                             const std::string& prefix = "wga");
+
+/**
+ * Publish which kernel implementation the filter and extension stages
+ * dispatch to, as the `wga.filter.kernel` and `wga.extend.kernel`
+ * gauges (id: 0 scalar, 1 sse42, 2 avx2). Every WgaPipeline entry point
+ * and the batch scheduler call this, so all runs report the same set.
+ */
+void publish_kernel_gauges(obs::MetricsRegistry& metrics);
 
 }  // namespace darwin::wga
 

@@ -278,6 +278,17 @@ TEST(StreamingPipeline, PackedRunIsBitIdenticalToByteRun)
     const auto packed =
         pipeline.run_packed(pair.target.genome, pair.query.genome);
     expect_identical(classic, packed);
+
+    // Both strands over a pool: packed strands run concurrently, as
+    // byte strands do, and the output keeps strand order.
+    WgaParams both = WgaParams::darwin_defaults();
+    both.align_both_strands = true;
+    const WgaPipeline both_pipeline(both);
+    ThreadPool pool(3);
+    expect_identical(
+        both_pipeline.run(pair.target.genome, pair.query.genome, &pool),
+        both_pipeline.run_packed(pair.target.genome, pair.query.genome,
+                                 &pool));
 }
 
 TEST(StreamingPipeline, StreamingRunIsBitIdenticalIncludingMaf)
