@@ -4,15 +4,14 @@
  * traceback walker used by the X-drop reference engine and the GACT-X
  * kernels.
  *
- * Rows store only their computed column window, two 4-bit pointers per
- * byte in row-major order (low nibble = even in-row index). The stored
- * footprint therefore *equals* the accounted `traceback_bytes`
- * ((len + 1) / 2 per row) and the hardware BRAM budget — the seed
- * engine's one-byte-per-cell `Pointer` records and the per-stripe
- * transpose are gone; engines either append a pre-packed row directly
- * (the wavefront kernels write nibbles in row-major order as the
- * anti-diagonal sweeps) or hand over one code byte per cell and let
- * `add_row_codes` pack.
+ * `PointerGrid` stores only each row's computed column window, two 4-bit
+ * pointers per byte in row-major order (low nibble = even in-row index),
+ * so its stored footprint *equals* the accounted `traceback_bytes`
+ * ((len + 1) / 2 per row) and the hardware BRAM budget. The two
+ * row-serial reference engines hand over one code byte per cell and let
+ * `add_row_codes` pack. The GACT-X wavefront kernels keep their own
+ * diagonal-major stripe blocks instead (gactx_wavefront.h); `trace_from`
+ * is templated on the grid so both layouts share one walker.
  */
 #ifndef DARWIN_ALIGN_DETAIL_POINTER_GRID_H
 #define DARWIN_ALIGN_DETAIL_POINTER_GRID_H
@@ -68,19 +67,8 @@ class PointerGrid {
   public:
     /**
      * Append the next row (rows arrive in increasing i): `len` cells
-     * starting at column `start`, already packed two-per-byte in
-     * `packed[0 .. (len + 1) / 2)`. A trailing padding nibble is
-     * ignored (never read back).
+     * starting at column `start`, one pointer code per byte, packing.
      */
-    void
-    add_packed_row(std::size_t start, const std::uint8_t* packed,
-                   std::size_t len)
-    {
-        rows_.push_back(RowRef{start, bytes_.size(), len});
-        bytes_.insert(bytes_.end(), packed, packed + (len + 1) / 2);
-    }
-
-    /** Append the next row from one pointer code per byte, packing. */
     void
     add_row_codes(std::size_t start, const std::uint8_t* codes,
                   std::size_t len)
@@ -138,10 +126,13 @@ class PointerGrid {
  * Walk pointers from cell (i, j) back to the origin, emitting the edit
  * script in forward order. Boundary rules: on reaching row 0 the
  * remaining columns are Deletes; on reaching column 0 the remaining rows
- * are Inserts (both correspond to the gap-initialized DP borders).
+ * are Inserts (both correspond to the gap-initialized DP borders), so
+ * row 0 and column 0 are never read. `Grid` supplies
+ * `Pointer at(i, j)` for i, j >= 1.
  */
-inline Cigar
-trace_from(const PointerGrid& grid, std::span<const std::uint8_t> target,
+template <class Grid>
+Cigar
+trace_from(const Grid& grid, std::span<const std::uint8_t> target,
            std::span<const std::uint8_t> query, std::size_t i,
            std::size_t j)
 {

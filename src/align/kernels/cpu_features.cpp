@@ -9,6 +9,9 @@ CpuFeatures probe_cpu_features() {
     // for AVX2, which a raw CPUID leaf check would miss.
     f.sse42 = __builtin_cpu_supports("sse4.2") != 0;
     f.avx2 = __builtin_cpu_supports("avx2") != 0;
+    f.avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+               __builtin_cpu_supports("avx512bw") != 0 &&
+               __builtin_cpu_supports("avx512vl") != 0;
 #endif
     return f;
 }

@@ -2,10 +2,11 @@
  * @file
  * Runtime CPU feature probing for the kernel dispatch registry.
  *
- * The vectorized filter kernels are compiled per-ISA (see
- * src/CMakeLists.txt: kernels_sse42.cpp / kernels_avx2.cpp get -msse4.2 /
- * -mavx2); whether the *running* CPU can execute them is a separate
- * question answered here, once, at registry construction.
+ * The vectorized kernels are compiled per-ISA (see src/CMakeLists.txt:
+ * kernels_sse42.cpp / kernels_avx2.cpp / kernels_avx512.cpp get
+ * -msse4.2 / -mavx2 / -mavx512{f,bw,vl}); whether the *running* CPU
+ * can execute them is a separate question answered here, once, at
+ * registry construction.
  */
 #ifndef DARWIN_ALIGN_KERNELS_CPU_FEATURES_H
 #define DARWIN_ALIGN_KERNELS_CPU_FEATURES_H
@@ -16,6 +17,7 @@ namespace darwin::align::kernels {
 struct CpuFeatures {
     bool sse42 = false;
     bool avx2 = false;
+    bool avx512 = false;  ///< AVX-512 F, BW and VL together
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * The seed GACT-X stripe engine, column-serial — kept bit-for-bit as
- * the oracle for the wavefront kernels and the micro-benchmark
- * baseline. Each stripe marches column by column with the systolic
+ * the oracle for the wavefront kernels, the micro-benchmark baseline
+ * and the `scalar` registry entry. Each stripe marches column by column with the systolic
  * lane chain (`up = val`, `g_up = g`, `diag_carry`), then transposes
  * the column-major pointer buffer into per-row records; the wavefront
  * kernels eliminate both the serial chain and the transpose but must
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "align/detail/pointer_grid.h"
+#include "fault/cancel.h"
 
 namespace darwin::align::kernels {
 
@@ -71,6 +72,10 @@ gactx_reference_align(std::span<const std::uint8_t> target,
     std::vector<std::uint8_t> lane_q(npe);
 
     for (std::size_t i0 = 1; i0 <= m && !out_of_memory; i0 += npe) {
+        // The same per-stripe budget probe and charges as the wavefront
+        // kernels, so every registry entry cancels and accounts alike.
+        fault::poll("extend.stripe");
+        const std::uint64_t stripe_cells_before = out.cells_computed;
         const std::size_t i1 = std::min(m, i0 + npe - 1);
         const std::size_t rows = i1 - i0 + 1;
         const Score stripe_threshold = vmax - ydrop;
@@ -218,12 +223,15 @@ gactx_reference_align(std::span<const std::uint8_t> target,
             for (std::uint32_t c = 0; c < data_columns; ++c)
                 codes.push_back(ptr_buf[c * rows + r]);
         }
+        const std::uint64_t traceback_before = traceback_bytes;
         for (auto& codes : stripe_rows) {
             traceback_bytes += (codes.size() + 1) / 2;
             grid.add_row_codes(jstart, codes.data(), codes.size());
         }
         if (traceback_bytes > params.traceback_bytes)
             out_of_memory = true;
+        fault::charge_cells(out.cells_computed - stripe_cells_before);
+        fault::charge_heap_bytes(traceback_bytes - traceback_before);
 
         // Publish the stripe's last row as the next BRAM row.
         std::swap(bram_v, next_v);

@@ -1,15 +1,10 @@
 /**
- * Scalar GACT-X wavefront kernel and the shared per-thread scratch.
- *
- * The scalar variant instantiates the shared anti-diagonal scaffold
- * with a plain lane loop — same traversal, same buffers, and the exact
- * per-cell arithmetic the SIMD policies reuse for their tails — so
- * `DARWIN_KERNEL=scalar` exercises the wavefront dataflow itself, while
- * the seed column-serial engine survives unregistered as
- * `gactx_reference_align` (gactx_reference.cpp).
+ * The per-thread scratch of the GACT-X wavefront kernels. Its growth
+ * paths live here, in a translation unit built without ISA flags, so
+ * the container code they instantiate is never compiled for an ISA the
+ * running CPU may lack.
  */
 #include "align/kernels/gactx_kernels.h"
-#include "align/kernels/gactx_wavefront.h"
 
 namespace darwin::align::kernels {
 
@@ -35,6 +30,21 @@ GactXScratch::prepare(std::size_t n, std::size_t npe)
     grow(colmax, n + 1);
     if (colbest.size() < n + 1)
         colbest.resize(n + 1);
+    stripes.clear();
+}
+
+std::uint8_t*
+GactXScratch::pool_block(std::size_t offset, std::size_t bytes)
+{
+    if (ptr_pool.size() < offset + bytes)
+        ptr_pool.resize(offset + bytes);
+    return ptr_pool.data() + offset;
+}
+
+void
+GactXScratch::add_stripe(const GactXStripe& stripe)
+{
+    stripes.push_back(stripe);
 }
 
 GactXScratch&
@@ -42,30 +52,6 @@ gactx_scratch()
 {
     thread_local GactXScratch scratch;
     return scratch;
-}
-
-namespace {
-
-struct ScalarPolicy {
-    explicit ScalarPolicy(const GactXDiagCtx&) {}
-
-    void
-    diagonal(const GactXDiagCtx& ctx, std::size_t dd, std::size_t rlo,
-             std::size_t rhi) const
-    {
-        for (std::size_t r = rlo; r <= rhi; ++r)
-            gactx_cell(ctx, dd, r);
-    }
-};
-
-}  // namespace
-
-TileResult
-gactx_wavefront_scalar(std::span<const std::uint8_t> target,
-                       std::span<const std::uint8_t> query,
-                       const GactXParams& params)
-{
-    return gactx_align_wavefront<ScalarPolicy>(target, query, params);
 }
 
 }  // namespace darwin::align::kernels

@@ -3,16 +3,19 @@
  * Shared anti-diagonal scaffolding of the GACT-X wavefront kernels.
  *
  * `gactx_align_wavefront<Policy>` owns everything that is identical
- * across the scalar/SSE4.2/AVX2 variants — the stripe walk, the jstart
+ * across the SSE4.2/AVX2/AVX-512 variants — the stripe walk, the jstart
  * frontier scan, the boundary column, the diagonal loop with its
  * buffer rotation and lane activation, the column-completion bookkeeping
  * that replays the seed engine's sequential vmax/termination order, and
- * the packed-traceback row emission. A Policy only supplies
- * `diagonal(ctx, dd, rlo, rhi)`: compute lanes rlo..rhi of diagonal dd
- * (slots rlo+1..rhi+1 of the lane buffers), fold each value into the
- * per-column running best, and store each cell's packed 4-bit pointer
- * at nibble `base + (dd - r)` of its row. `gactx_cell` is the scalar
- * per-cell body the SIMD policies reuse for their tails.
+ * the diagonal-major traceback store with its stripe table. A Policy
+ * only supplies `diagonal(ctx, dd, rlo, rhi)`: compute lanes rlo..rhi of
+ * diagonal dd (slots rlo+1..rhi+1 of the lane buffers), fold each value
+ * into the per-column running best, and store each cell's packed 4-bit
+ * pointer at nibble r of the diagonal's block `ctx.ptrs`. `gactx_cell`
+ * is the scalar per-cell body the SIMD policy reuses for odd leading
+ * lanes and tails; `GactXSimdPolicy<Lanes>` is the one SIMD policy, one
+ * instantiation per ISA translation unit (see simd_lanes.h for the
+ * `Lanes` traits and why everything here has internal linkage).
  *
  * Coordinate map (see DESIGN.md "Extension kernels"): within a stripe
  * starting at query row i0 with first data column fdc, lane r handles
@@ -27,6 +30,15 @@
  *
  * Slot 0 is refreshed from the previous stripe's frontier whenever lane
  * 0 is active, which is exactly the systolic array's BRAM read port.
+ *
+ * Traceback store: each stripe owns a block of the per-thread pointer
+ * pool with `lanes` (rows rounded up to even) nibbles per diagonal, so
+ * diagonal dd's cells are contiguous and a vector block starting at an
+ * even lane is one 2-, 4- or 8-byte store. The accounted
+ * `traceback_bytes` keep the hardware's row-major formula; the stored
+ * block is at most that plus one rows x lanes / 2 triangle (the unused
+ * lanes of the first and last rows - 1 diagonals), and one padding
+ * nibble per diagonal when rows is odd.
  */
 #ifndef DARWIN_ALIGN_KERNELS_GACTX_WAVEFRONT_H
 #define DARWIN_ALIGN_KERNELS_GACTX_WAVEFRONT_H
@@ -38,10 +50,13 @@
 
 #include "align/detail/pointer_grid.h"
 #include "align/kernels/gactx_kernels.h"
+#include "align/kernels/simd_lanes.h"
 #include "fault/cancel.h"
 #include "seq/alphabet.h"
+#include "util/logging.h"
 
 namespace darwin::align::kernels {
+namespace {
 
 /** Per-stripe state handed to Policy::diagonal (pointers rotate). */
 struct GactXDiagCtx {
@@ -51,8 +66,6 @@ struct GactXDiagCtx {
     Score open = 0;
     Score extend = 0;
     std::size_t fdc = 0;    ///< target column of c = 0
-    std::size_t base = 0;   ///< nibble offset of c = 0 (1 after a boundary col)
-    std::size_t stride = 0; ///< packed bytes per traceback row
     Score* vd1 = nullptr;
     Score* vd2 = nullptr;
     Score* vcur = nullptr;
@@ -62,7 +75,7 @@ struct GactXDiagCtx {
     Score* hcur = nullptr;
     Score* colmax = nullptr;
     std::int32_t* colbest = nullptr;
-    std::uint8_t* ptr_rows = nullptr;
+    std::uint8_t* ptrs = nullptr;  ///< this diagonal's pointer nibbles
 };
 
 /**
@@ -110,14 +123,125 @@ gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
         c.colbest[col] = static_cast<std::int32_t>(r);
     }
 
-    const std::size_t nib = c.base + col;
-    std::uint8_t* byte = c.ptr_rows + r * c.stride + nib / 2;
+    // An odd lane keeps the low nibble: its even partner was written
+    // just before (or is inactive on this diagonal and never read).
+    std::uint8_t* byte = c.ptrs + r / 2;
     const std::uint8_t code = detail::pack_pointer(vdir, hopen, vopen);
-    if (nib % 2 != 0)
-        *byte = static_cast<std::uint8_t>(*byte | (code << 4));
+    if (r % 2 != 0)
+        *byte = static_cast<std::uint8_t>((*byte & 0x0Fu) | (code << 4));
     else
-        *byte = code;  // assigning zeroes the (yet unwritten) high nibble
+        *byte = code;
 }
+
+/**
+ * GACT-X stripe diagonals in blocks of `Lanes::kWidth` int32 lanes.
+ * Lane k of a block handles stripe row r + k and target column
+ * fdc + dd - r - k: neighbour loads are contiguous in the slot-indexed
+ * lane buffers, query codes load forward, target codes are a
+ * lane-reversed load, and the per-column best fold hits
+ * colmax[dd-r-W+1 .. dd-r] with the value vector reversed (the strict
+ * compare keeps the smallest-row winner the column walk demands). The
+ * block's pointer codes pack pairwise into W / 2 whole bytes of the
+ * diagonal's block — blocks start at even lanes, so an odd rlo first
+ * takes one `gactx_cell` step. All integer ops are exact, so results
+ * are bit-identical to the reference.
+ */
+template <class Lanes>
+struct GactXSimdPolicy {
+    using Vec = typename Lanes::Vec;
+    static constexpr std::size_t W = Lanes::kWidth;
+    using Pairs = typename VecOf<std::uint64_t, W / 2>::type;
+
+    Vec rev_iota_;  ///< W-1, ..., 1, 0
+
+    GactXSimdPolicy()
+    {
+        for (std::size_t k = 0; k < W; ++k)
+            rev_iota_[k] = static_cast<std::int32_t>(W - 1 - k);
+    }
+
+    void
+    diagonal(const GactXDiagCtx& c, std::size_t dd, std::size_t rlo,
+             std::size_t rhi) const
+    {
+        std::size_t r = rlo;
+        if (r % 2 != 0 && r <= rhi)
+            gactx_cell(c, dd, r++);
+        for (; r + W <= rhi + 1; r += W) {
+            const std::size_t s = r + 1;
+            const Vec h_open = load_lanes<Vec>(c.vd1 + s) - c.open;
+            const Vec h_ext = load_lanes<Vec>(c.hd1 + s) - c.extend;
+            const Vec h = max_lanes(h_open, h_ext);
+
+            const Vec g_open = load_lanes<Vec>(c.vd1 + s - 1) - c.open;
+            const Vec g_ext = load_lanes<Vec>(c.gd1 + s - 1) - c.extend;
+            const Vec g = max_lanes(g_open, g_ext);
+
+            const Vec dval = load_lanes<Vec>(c.vd2 + s - 1) +
+                             diagonal_scores<Lanes>(
+                                 c.sub, c.t + (c.fdc + dd - r), c.q + r);
+            const Vec vh = max_lanes(dval, h);
+            const Vec val = max_lanes(vh, g);
+
+            store_lanes(c.vcur + s, val);
+            store_lanes(c.gcur + s, g);
+            store_lanes(c.hcur + s, h);
+
+            const std::size_t cbase = dd - r - (W - 1);
+            const Vec valrev = reverse_lanes(val);
+            const Vec cm = load_lanes<Vec>(c.colmax + cbase);
+            const Vec upd = valrev > cm;
+            if (Lanes::mask(upd) != 0) {
+                store_lanes(c.colmax + cbase, upd ? valrev : cm);
+                const Vec rows = rev_iota_ + static_cast<std::int32_t>(r);
+                store_lanes(c.colbest + cbase,
+                            upd ? rows : load_lanes<Vec>(c.colbest + cbase));
+            }
+
+            // Comparison masks are -1/0: vdir is Diag (1), HGap (2) when
+            // h won, VGap (3) when g won over both.
+            const Vec vdir = (1 - (h > dval)) | ((g > vh) & 0x3);
+            const Vec code = vdir | ((h_open >= h_ext) & 0x4) |
+                             ((g_open >= g_ext) & 0x8);
+            const Pairs pairs = reinterpret_cast<Pairs>(code);
+            Lanes::store_low_bytes(c.ptrs + r / 2, pairs | (pairs >> 28));
+        }
+        for (; r <= rhi; ++r)
+            gactx_cell(c, dd, r);
+    }
+};
+
+/**
+ * The stripe table read back for traceback: `at(i, j)` finds row i's
+ * stripe (every stripe but the last has num_pe rows) and reads cell
+ * (i, j) from the stripe's diagonal-major block.
+ */
+class StripeGrid {
+  public:
+    StripeGrid(const GactXScratch& ws, std::size_t npe) : ws_(ws), npe_(npe)
+    {
+    }
+
+    detail::Pointer
+    at(std::size_t i, std::size_t j) const
+    {
+        const std::size_t k = (i - 1) / npe_;
+        require(k < ws_.stripes.size(),
+                "StripeGrid: traceback row out of range");
+        const GactXStripe& st = ws_.stripes[k];
+        const std::size_t r = i - st.i0;
+        require(j >= st.fdc && j - st.fdc < st.data_columns,
+                "StripeGrid: traceback outside stored window");
+        const std::size_t nib = (j - st.fdc + r) * st.lanes + r;
+        const std::uint8_t byte = ws_.ptr_pool[st.offset + nib / 2];
+        return detail::unpack_pointer((nib % 2 != 0) ? (byte >> 4)
+                                                     : (byte & 0x0Fu));
+    }
+
+  private:
+    const GactXScratch& ws_;
+    std::size_t npe_;
+};
 
 template <class Policy>
 TileResult
@@ -162,7 +286,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     std::size_t best_i = 0;
     std::size_t best_j = 0;
 
-    detail::PointerGrid grid;
+    std::size_t pool_used = 0;
     std::uint64_t traceback_bytes = 0;
     bool out_of_memory = false;
 
@@ -173,7 +297,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     ctx.extend = scoring.gap_extend;
     ctx.colmax = ws.colmax.data();
     ctx.colbest = ws.colbest.data();
-    Policy pol(ctx);
+    const Policy pol;
 
     for (std::size_t i0 = 1; i0 <= m && !out_of_memory; i0 += npe) {
         // Budget/injection probe once per stripe: the cooperative
@@ -199,9 +323,10 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         const std::size_t fdc = std::max<std::size_t>(jstart, 1);
         const std::size_t num_cols = n - fdc + 1;
         const std::size_t base = (jstart == 0) ? 1 : 0;
-        const std::size_t stride = (base + num_cols + 1) / 2;
-        if (ws.ptr_rows.size() < rows * stride)
-            ws.ptr_rows.resize(rows * stride);
+        const std::size_t ddmax = (num_cols - 1) + (rows - 1);
+        const std::size_t lanes = rows + rows % 2;
+        std::uint8_t* block =
+            ws.pool_block(pool_used, (ddmax + 1) * (lanes / 2));
 
         // Column-0 boundary values per lane (-gap_cost(i0 + r) when the
         // window touches column 0, pruned otherwise). These seed each
@@ -229,10 +354,9 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         std::size_t last_col = (jstart == 0) ? 0 : jstart - 1;
 
         if (jstart == 0) {
-            // Boundary column: one leading-query-gap cell per lane.
-            for (std::size_t r = 0; r < rows; ++r)
-                ws.ptr_rows[r * stride] = detail::pack_pointer(
-                    detail::kVGap, false, i0 + r == 1);
+            // Boundary column: one leading-query-gap cell per lane. Its
+            // pointers are accounted but not stored — traceback reaching
+            // column 0 ends without reading them.
             out.cells_computed += rows;
             next_v[0] = ws.init_left[rows - 1];
             next_g[0] = ws.init_left[rows - 1];
@@ -251,13 +375,10 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
 
         ctx.q = query.data() + (i0 - 1);
         ctx.fdc = fdc;
-        ctx.base = base;
-        ctx.stride = stride;
-        ctx.ptr_rows = ws.ptr_rows.data();
 
         bool stripe_done = false;
-        const std::size_t ddmax = (num_cols - 1) + (rows - 1);
-        for (std::size_t dd = 0; dd <= ddmax && !stripe_done; ++dd) {
+        std::size_t dd = 0;
+        for (; dd <= ddmax && !stripe_done; ++dd) {
             const std::size_t rlo =
                 (dd >= num_cols) ? dd - (num_cols - 1) : 0;
             const std::size_t rhi = std::min(rows - 1, dd);
@@ -281,6 +402,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
             ctx.gcur = gcur;
             ctx.hd1 = hd1;
             ctx.hcur = hcur;
+            ctx.ptrs = block + dd * (lanes / 2);
             pol.diagonal(ctx, dd, rlo, rhi);
 
             // Activate lane dd+1: this single write is its left
@@ -332,13 +454,14 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         out.cells_computed +=
             static_cast<std::uint64_t>(data_columns) * rows;
 
-        const std::size_t row_len = base + data_columns;
+        // Only diagonals 0..dd-1 ran; later stripes start behind them.
+        ws.add_stripe(GactXStripe{i0, fdc, data_columns, lanes, pool_used});
+        pool_used += dd * (lanes / 2);
+
+        // Accounted as the hardware stores it: row-major, 4 bits/cell.
         const std::uint64_t traceback_before = traceback_bytes;
-        for (std::size_t r = 0; r < rows; ++r) {
-            traceback_bytes += (row_len + 1) / 2;
-            grid.add_packed_row(jstart, ws.ptr_rows.data() + r * stride,
-                                row_len);
-        }
+        traceback_bytes += static_cast<std::uint64_t>(rows) *
+                           ((base + data_columns + 1) / 2);
         if (traceback_bytes > params.traceback_bytes)
             out_of_memory = true;
         fault::charge_cells(out.cells_computed - stripe_cells_before);
@@ -361,10 +484,12 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     out.query_max = best_i;
     out.traceback_bytes = traceback_bytes;
     if (best_i != 0 || best_j != 0)
-        out.cigar = detail::trace_from(grid, target, query, best_i, best_j);
+        out.cigar = detail::trace_from(StripeGrid(ws, npe), target, query,
+                                       best_i, best_j);
     return out;
 }
 
+}  // namespace
 }  // namespace darwin::align::kernels
 
 #endif  // DARWIN_ALIGN_KERNELS_GACTX_WAVEFRONT_H

@@ -19,29 +19,37 @@ KernelRegistry::KernelRegistry() {
 
     // The table is explicit (no static self-registration: static-library
     // linking silently drops unreferenced registrars). Ids are stable —
-    // they are published as the wga.filter.kernel gauge value.
-    kernels_.push_back(KernelImpl{/*id=*/0, "scalar", /*compiled=*/true,
-                                  /*cpu_ok=*/true, &bsw_wavefront_scalar,
-                                  &ungapped_xdrop_scalar,
-                                  &gactx_wavefront_scalar});
-
-    const KernelOps* sse42 = sse42_kernel_ops();
-    kernels_.push_back(KernelImpl{
-        /*id=*/1, "sse42", sse42 != nullptr, cpu.sse42,
-        sse42 != nullptr ? sse42->bsw : nullptr,
-        sse42 != nullptr && sse42->ungapped != nullptr ? sse42->ungapped
-                                                       : &ungapped_xdrop_scalar,
-        sse42 != nullptr && sse42->gactx != nullptr ? sse42->gactx
-                                                    : &gactx_wavefront_scalar});
-
+    // they are published as the wga.filter.kernel gauge value. An entry
+    // without its own ungapped or GACT-X kernel falls back to the scalar
+    // ungapped kernel and the seed GACT-X engine.
+    const auto add = [this](int id, const char* name, const KernelOps* ops,
+                            bool cpu_ok) {
+        kernels_.push_back(KernelImpl{
+            id, name, ops != nullptr, cpu_ok,
+            ops != nullptr ? ops->bsw : nullptr,
+            ops != nullptr && ops->ungapped != nullptr
+                ? ops->ungapped
+                : &ungapped_xdrop_scalar,
+            ops != nullptr && ops->gactx != nullptr
+                ? ops->gactx
+                : &gactx_reference_align});
+    };
+    const KernelOps scalar_ops{&bsw_wavefront_scalar, nullptr, nullptr};
     const KernelOps* avx2 = avx2_kernel_ops();
-    kernels_.push_back(KernelImpl{
-        /*id=*/2, "avx2", avx2 != nullptr, cpu.avx2,
-        avx2 != nullptr ? avx2->bsw : nullptr,
-        avx2 != nullptr && avx2->ungapped != nullptr ? avx2->ungapped
-                                                     : &ungapped_xdrop_scalar,
-        avx2 != nullptr && avx2->gactx != nullptr ? avx2->gactx
-                                                  : &gactx_wavefront_scalar});
+    add(0, "scalar", &scalar_ops, true);
+    add(1, "sse42", sse42_kernel_ops(), cpu.sse42);
+    add(2, "avx2", avx2, cpu.avx2);
+
+    // AVX-512 widens the GACT-X engine only; the filter kernels are
+    // AVX2's.
+    KernelOps avx512{};
+    const KernelOps* avx512_gactx = avx512_kernel_ops();
+    if (avx2 != nullptr && avx512_gactx != nullptr) {
+        avx512 = *avx2;
+        avx512.gactx = avx512_gactx->gactx;
+    }
+    add(3, "avx512", avx512.bsw != nullptr ? &avx512 : nullptr,
+        cpu.avx2 && cpu.avx512);
 
     active_.store(&best_usable(), std::memory_order_release);
 

@@ -9,7 +9,7 @@
  * (cpu_features.h) and selects the fastest usable entry; the selection
  * can be overridden with the `DARWIN_KERNEL` environment variable or the
  * `--kernel` CLI flag (tools/obs_support.h), both taking
- * `auto|scalar|sse42|avx2`.
+ * `auto|scalar|sse42|avx2|avx512`.
  *
  * `banded_smith_waterman()`, `ungapped_xdrop_extend()` and
  * `GactXTileAligner::align_tile()` are thin façades over the active
@@ -47,7 +47,7 @@ using UngappedKernelFn = UngappedResult (*)(
 
 /** One registered implementation of the filter + extension kernels. */
 struct KernelImpl {
-    int id = 0;              ///< stable: 0 scalar, 1 sse42, 2 avx2
+    int id = 0;  ///< stable: 0 scalar, 1 sse42, 2 avx2, 3 avx512
     const char* name = "";   ///< the DARWIN_KERNEL spelling
     bool compiled = false;   ///< translation unit built with the ISA
     bool cpu_ok = false;     ///< running CPU supports the ISA
@@ -61,8 +61,10 @@ struct KernelImpl {
 /**
  * ISA kernel entry points, exported by each per-ISA translation unit.
  * Returns nullptr when the TU was compiled without the ISA (non-x86
- * build or compiler without -msse4.2/-mavx2) so the registry can mark
- * the entry uncompiled instead of link-failing.
+ * build or compiler without -msse4.2/-mavx2/-mavx512*) so the registry
+ * can mark the entry uncompiled instead of link-failing. The AVX-512
+ * TU supplies only `gactx`; the registry pairs it with AVX2's filter
+ * kernels.
  */
 struct KernelOps {
     BswKernelFn bsw = nullptr;
@@ -71,6 +73,7 @@ struct KernelOps {
 };
 const KernelOps* sse42_kernel_ops();
 const KernelOps* avx2_kernel_ops();
+const KernelOps* avx512_kernel_ops();
 
 /** Names the single execution path (one façade call per tile) for
  *  reports that print an execution-backend id next to the kernel. */

@@ -1,13 +1,11 @@
 /**
- * AVX2 filter kernels (8 x int32 lanes). Compiled with -mavx2 when the
+ * AVX2 kernels (8 x int32 lanes). Compiled with -mavx2 when the
  * compiler supports it (see src/CMakeLists.txt); otherwise the stub at
  * the bottom reports the ISA as uncompiled and the registry skips it.
  *
- * Banded SW: the wavefront layout of bsw_wavefront.cpp with the inner
- * diagonal loop in 8-lane blocks — contiguous loads of the three
- * neighbour diagonals, substitution scores fetched with a hardware
- * gather from the flattened 5x5 matrix, and a movemask-guarded max
- * reduction that reproduces the row-major-first tie-break. Ungapped
+ * Banded SW and GACT-X: the width-generic kernels (simd_lanes.h,
+ * gactx_wavefront.h) instantiated with `Avx2Lanes`, whose substitution
+ * lookup is a hardware gather from the flattened 5x5 matrix. Ungapped
  * x-drop: substitution scores are gathered in 8-cell blocks and the
  * run/best/break chain is evaluated in-register — an inclusive prefix
  * sum gives every running score in the block, an inclusive prefix max
@@ -18,7 +16,6 @@
  * termination point (and cells_computed) never diverges from scalar.
  * All integer ops are exact, so results are bit-identical.
  */
-#include "align/kernels/bsw_kernels.h"
 #include "align/kernels/gactx_wavefront.h"
 #include "align/kernels/kernel_registry.h"
 
@@ -26,18 +23,12 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "util/logging.h"
 
 namespace darwin::align::kernels {
 namespace {
-
-inline Score hmax8(__m256i v) {
-    __m128i m = _mm_max_epi32(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-    m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtsi128_si32(m);
-}
 
 inline Score hsum8(__m256i v) {
     __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
@@ -87,158 +78,6 @@ inline __m256i prefix_max8(__m256i x) {
         x, _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3));
     x = _mm256_max_epi32(x, _mm256_blend_epi32(s, ninf, 0x0F));
     return x;
-}
-
-BswResult
-bsw_avx2(std::span<const std::uint8_t> target,
-         std::span<const std::uint8_t> query,
-         const ScoringParams& scoring, std::size_t band)
-{
-    const std::size_t n = target.size();
-    const std::size_t m = query.size();
-    BswResult out;
-    if (n == 0 || m == 0)
-        return out;
-
-    WavefrontScratch& ws = wavefront_scratch();
-    ws.prepare(m);
-    Score* vd2 = ws.v0.data();
-    Score* vd1 = ws.v1.data();
-    Score* vcur = ws.v2.data();
-    Score* gd1 = ws.g0.data();
-    Score* gcur = ws.g1.data();
-    Score* hd1 = ws.h0.data();
-    Score* hcur = ws.h1.data();
-
-    const Score open = scoring.gap_open;
-    const Score extend = scoring.gap_extend;
-    const Score* sub = scoring.matrix.front().data();
-    const std::uint8_t* t = target.data();
-    const std::uint8_t* q = query.data();
-
-    const __m256i vopen = _mm256_set1_epi32(open);
-    const __m256i vext = _mm256_set1_epi32(extend);
-    const __m256i vzero = _mm256_setzero_si256();
-    const __m256i krev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-
-    BswBest best;
-    __m256i bestv = vzero;
-    for (std::size_t d = 2; d <= m + n; ++d) {
-        const auto [lo, hi] = bsw_diagonal_range(d, n, m, band);
-        if (lo > hi) {  // band == 0 parity gap: keep invariants, move on
-            bsw_write_empty_diagonal(d, n, m, band, vcur, gcur, hcur);
-            Score* vtmp = vd2;
-            vd2 = vd1;
-            vd1 = vcur;
-            vcur = vtmp;
-            std::swap(gd1, gcur);
-            std::swap(hd1, hcur);
-            continue;
-        }
-        std::size_t i = lo;
-        for (; i + 7 <= hi; i += 8) {
-            const __m256i left_v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(vd1 + i));
-            const __m256i left_h = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(hd1 + i));
-            const __m256i up_v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(vd1 + i - 1));
-            const __m256i up_g = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(gd1 + i - 1));
-            const __m256i diag_v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(vd2 + i - 1));
-
-            // Lane k handles cell (i+k, d-i-k): query codes load forward
-            // from q[i-1], target codes load as 8 bytes ending at
-            // t[d-i-1] and are lane-reversed.
-            const __m256i qc = load_codes8(q + (i - 1));
-            const __m256i tc = _mm256_permutevar8x32_epi32(
-                load_codes8(t + (d - i - 8)), krev);
-            const __m256i subv = gather_subs(sub, tc, qc);
-
-            const __m256i h =
-                _mm256_max_epi32(_mm256_sub_epi32(left_v, vopen),
-                                 _mm256_sub_epi32(left_h, vext));
-            const __m256i g =
-                _mm256_max_epi32(_mm256_sub_epi32(up_v, vopen),
-                                 _mm256_sub_epi32(up_g, vext));
-            __m256i val =
-                _mm256_max_epi32(_mm256_add_epi32(diag_v, subv), vzero);
-            val = _mm256_max_epi32(val, _mm256_max_epi32(h, g));
-
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(vcur + i), val);
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(gcur + i), g);
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(hcur + i), h);
-
-            // Row-major-first max reduction (see BswBest::consider).
-            if (movemask32(_mm256_cmpgt_epi32(val, bestv)) != 0) {
-                const Score dmax = hmax8(val);
-                const int eqm = movemask32(
-                    _mm256_cmpeq_epi32(val, _mm256_set1_epi32(dmax)));
-                best.score = dmax;
-                best.i = i + static_cast<std::size_t>(__builtin_ctz(
-                                 static_cast<unsigned>(eqm)));
-                best.j = d - best.i;
-                bestv = _mm256_set1_epi32(dmax);
-            } else if (best.score > 0 && best.i > i) {
-                const int eqm = movemask32(_mm256_cmpeq_epi32(val, bestv));
-                if (eqm != 0) {
-                    const std::size_t ci =
-                        i + static_cast<std::size_t>(__builtin_ctz(
-                                static_cast<unsigned>(eqm)));
-                    if (ci < best.i) {
-                        best.i = ci;
-                        best.j = d - ci;
-                    }
-                }
-            }
-        }
-        for (; i <= hi; ++i) {
-            const std::size_t j = d - i;
-            const Score h = std::max(vd1[i] - open, hd1[i] - extend);
-            const Score g =
-                std::max(vd1[i - 1] - open, gd1[i - 1] - extend);
-            Score val =
-                vd2[i - 1] + sub[t[j - 1] * seq::kNumCodes + q[i - 1]];
-            if (val < 0) val = 0;
-            if (h > val) val = h;
-            if (g > val) val = g;
-            vcur[i] = val;
-            gcur[i] = g;
-            hcur[i] = h;
-            const Score prev_best = best.score;
-            best.consider(val, i, j);
-            if (best.score != prev_best)
-                bestv = _mm256_set1_epi32(best.score);
-        }
-        out.cells_computed += hi - lo + 1;
-
-        if (lo > 1) {
-            vcur[lo - 1] = kScoreNegInf;
-            gcur[lo - 1] = kScoreNegInf;
-            hcur[lo - 1] = kScoreNegInf;
-        }
-        vcur[hi + 1] = kScoreNegInf;
-        gcur[hi + 1] = kScoreNegInf;
-        hcur[hi + 1] = kScoreNegInf;
-        if (d <= m) {
-            vcur[d] = 0;
-            gcur[d] = kScoreNegInf;
-            hcur[d] = kScoreNegInf;
-        }
-
-        Score* vtmp = vd2;
-        vd2 = vd1;
-        vd1 = vcur;
-        vcur = vtmp;
-        std::swap(gd1, gcur);
-        std::swap(hd1, hcur);
-    }
-
-    out.max_score = best.score;
-    out.query_max = best.i;
-    out.target_max = best.j;
-    return out;
 }
 
 UngappedResult
@@ -396,137 +235,55 @@ ungapped_avx2(std::span<const std::uint8_t> target,
     return out;
 }
 
-/**
- * GACT-X stripe diagonals in 8-lane blocks (see gactx_wavefront.h for
- * the dataflow). Lane k of a block handles stripe row r + k and target
- * column fdc + dd - r - k: neighbour loads are contiguous in the
- * slot-indexed lane buffers, query codes load forward, target codes are
- * a lane-reversed 8-byte load, and the per-column best fold hits
- * colmax[dd-r-7 .. dd-r] with the value vector reversed (strict
- * compare keeps the smallest-row winner the column walk demands).
- * Pointer nibbles alternate parity lane to lane, so the packed codes
- * are spilled once and stored with eight scalar byte ops.
- */
-struct GactXAvx2Policy {
-    __m256i vopen_, vext_, krev_, iota_;
-    __m256i kdiag_, khgap_, kvgap_, khopen_, kvopen_;
+/** AVX2 lanes of the vector kernels (simd_lanes.h). */
+struct Avx2Lanes {
+    static constexpr std::size_t kWidth = 8;
+    typedef std::int32_t Vec __attribute__((vector_size(32)));
 
-    explicit GactXAvx2Policy(const GactXDiagCtx& ctx)
-        : vopen_(_mm256_set1_epi32(ctx.open)),
-          vext_(_mm256_set1_epi32(ctx.extend)),
-          krev_(_mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0)),
-          iota_(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
-          kdiag_(_mm256_set1_epi32(detail::kDiag)),
-          khgap_(_mm256_set1_epi32(detail::kHGap)),
-          kvgap_(_mm256_set1_epi32(detail::kVGap)),
-          khopen_(_mm256_set1_epi32(0x4)),
-          kvopen_(_mm256_set1_epi32(0x8))
+    static Vec
+    widen(const std::uint8_t* p)
     {
+        return reinterpret_cast<Vec>(load_codes8(p));
     }
 
-    void
-    diagonal(const GactXDiagCtx& c, std::size_t dd, std::size_t rlo,
-             std::size_t rhi) const
+    static Vec
+    lookup(const Score* sub, Vec idx)
     {
-        std::size_t r = rlo;
-        for (; r + 7 <= rhi; r += 8) {
-            const std::size_t s = r + 1;
-            const __m256i left_v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(c.vd1 + s));
-            const __m256i left_h = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(c.hd1 + s));
-            const __m256i up_v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(c.vd1 + s - 1));
-            const __m256i up_g = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(c.gd1 + s - 1));
-            const __m256i diag_v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(c.vd2 + s - 1));
+        return reinterpret_cast<Vec>(_mm256_i32gather_epi32(
+            reinterpret_cast<const int*>(sub),
+            reinterpret_cast<__m256i>(idx), 4));
+    }
 
-            const __m256i qc = load_codes8(c.q + r);
-            const __m256i tc = _mm256_permutevar8x32_epi32(
-                load_codes8(c.t + (c.fdc + dd - r - 8)), krev_);
-            const __m256i subv = gather_subs(c.sub, tc, qc);
+    static unsigned
+    mask(Vec m)
+    {
+        return static_cast<unsigned>(
+            _mm256_movemask_ps(reinterpret_cast<__m256>(m)));
+    }
 
-            const __m256i h_open = _mm256_sub_epi32(left_v, vopen_);
-            const __m256i h_ext = _mm256_sub_epi32(left_h, vext_);
-            const __m256i h = _mm256_max_epi32(h_open, h_ext);
-
-            const __m256i g_open = _mm256_sub_epi32(up_v, vopen_);
-            const __m256i g_ext = _mm256_sub_epi32(up_g, vext_);
-            const __m256i g = _mm256_max_epi32(g_open, g_ext);
-
-            const __m256i dval = _mm256_add_epi32(diag_v, subv);
-            const __m256i vh = _mm256_max_epi32(dval, h);
-            const __m256i val = _mm256_max_epi32(vh, g);
-
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(c.vcur + s),
-                                val);
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(c.gcur + s),
-                                g);
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(c.hcur + s),
-                                h);
-
-            const std::size_t cbase = dd - r - 7;
-            const __m256i valrev =
-                _mm256_permutevar8x32_epi32(val, krev_);
-            const __m256i cm = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(c.colmax + cbase));
-            const __m256i upd = _mm256_cmpgt_epi32(valrev, cm);
-            if (movemask32(upd) != 0) {
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(c.colmax + cbase),
-                    _mm256_max_epi32(cm, valrev));
-                const __m256i cb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(c.colbest + cbase));
-                const __m256i rrev = _mm256_sub_epi32(
-                    _mm256_set1_epi32(static_cast<int>(r + 7)), iota_);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(c.colbest + cbase),
-                    _mm256_blendv_epi8(cb, rrev, upd));
-            }
-
-            const __m256i not_hopen = _mm256_cmpgt_epi32(h_ext, h_open);
-            const __m256i not_vopen = _mm256_cmpgt_epi32(g_ext, g_open);
-            const __m256i mh = _mm256_cmpgt_epi32(h, dval);
-            const __m256i mg = _mm256_cmpgt_epi32(g, vh);
-            __m256i code = _mm256_blendv_epi8(kdiag_, khgap_, mh);
-            code = _mm256_blendv_epi8(code, kvgap_, mg);
-            code = _mm256_or_si256(code,
-                                   _mm256_andnot_si256(not_hopen, khopen_));
-            code = _mm256_or_si256(code,
-                                   _mm256_andnot_si256(not_vopen, kvopen_));
-
-            alignas(32) std::int32_t codes[8];
-            _mm256_store_si256(reinterpret_cast<__m256i*>(codes), code);
-            std::size_t nib = c.base + dd - r;
-            std::uint8_t* row = c.ptr_rows + r * c.stride;
-            for (int k = 0; k < 8; ++k) {
-                std::uint8_t* byte = row + (nib >> 1);
-                const std::uint8_t cd = static_cast<std::uint8_t>(codes[k]);
-                if ((nib & 1) != 0)
-                    *byte = static_cast<std::uint8_t>(*byte | (cd << 4));
-                else
-                    *byte = cd;
-                --nib;
-                row += c.stride;
-            }
-        }
-        for (; r <= rhi; ++r)
-            gactx_cell(c, dd, r);
+    template <class Pairs>
+    static void
+    store_low_bytes(std::uint8_t* out, Pairs pairs)
+    {
+        // Bytes 0 and 8 of each 128-bit half land at 0-1 and 2-3.
+        const __m256i b = _mm256_shuffle_epi8(
+            reinterpret_cast<__m256i>(pairs),
+            _mm256_setr_epi8(0, 8, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                             -1, -1, -1, -1, -1, -1, 0, 8, -1, -1, -1, -1,
+                             -1, -1, -1, -1, -1, -1, -1, -1));
+        const std::uint32_t four = static_cast<std::uint32_t>(
+            _mm_cvtsi128_si32(_mm256_castsi256_si128(b)) |
+            _mm_cvtsi128_si32(_mm256_extracti128_si256(b, 1)));
+        std::memcpy(out, &four, sizeof four);
     }
 };
-
-TileResult
-gactx_avx2(std::span<const std::uint8_t> target,
-           std::span<const std::uint8_t> query, const GactXParams& params)
-{
-    return gactx_align_wavefront<GactXAvx2Policy>(target, query, params);
-}
 
 }  // namespace
 
 const KernelOps* avx2_kernel_ops() {
-    static const KernelOps ops{&bsw_avx2, &ungapped_avx2, &gactx_avx2};
+    static const KernelOps ops{
+        &bsw_simd<Avx2Lanes>, &ungapped_avx2,
+        &gactx_align_wavefront<GactXSimdPolicy<Avx2Lanes>>};
     return &ops;
 }
 

@@ -11,7 +11,7 @@
  * exceeded or the token was cancelled externally.
  *
  * Tokens are installed per thread with a ContextScope; code below the
- * scope (stages, kernel façades, the wavefront scaffold) polls through
+ * scope (stages, kernel façades, the GACT-X stripe loops) polls through
  * the free functions without ever threading a token through its
  * signatures. When no scope is installed — the serial pipeline, tests,
  * benches — poll() is one thread-local load and a branch, and results

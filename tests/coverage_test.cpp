@@ -17,6 +17,7 @@
 #include "wga/chain_io.h"
 #include "wga/maf.h"
 #include "wga/params.h"
+#include "test_temp_dir.h"
 
 namespace darwin {
 namespace {
@@ -196,7 +197,7 @@ TEST(Fasta, GenomeFileRoundTrip)
     seq::Genome genome("g");
     genome.add_chromosome(seq::Sequence("chrA", "ACGTACGTNNACGT"));
     genome.add_chromosome(seq::Sequence("chrB", "TTTTGGGG"));
-    const std::string path = "/tmp/darwin_test_genome.fa";
+    const std::string path = testing::temp_path("genome.fa");
     seq::write_genome_file(path, genome);
     const auto loaded = seq::read_genome(path, "g2");
     ASSERT_EQ(loaded.num_chromosomes(), 2u);

@@ -29,6 +29,7 @@
 #include "util/strings.h"
 #include "util/thread_pool.h"
 #include "util/work_queue.h"
+#include "test_temp_dir.h"
 
 namespace darwin {
 namespace {
@@ -371,8 +372,7 @@ TEST(Checkpoint, Fnv1a64MatchesReferenceVectors)
 
 TEST(Checkpoint, AtomicWriteLeavesNoTempFile)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string path = dir + "/atomic_test.txt";
+    const std::string path = testing::temp_path("atomic_test.txt");
     batch::write_file_atomic(path, "hello\n");
     std::ifstream in(path);
     std::string content((std::istreambuf_iterator<char>(in)),
@@ -384,12 +384,11 @@ TEST(Checkpoint, AtomicWriteLeavesNoTempFile)
     std::string content2((std::istreambuf_iterator<char>(again)),
                          std::istreambuf_iterator<char>());
     EXPECT_EQ(content2, "replaced\n");
-    std::filesystem::remove(path);
 }
 
 TEST(Checkpoint, JournalRoundTripsThroughResume)
 {
-    const std::string path = ::testing::TempDir() + "/journal_rt.jsonl";
+    const std::string path = testing::temp_path("journal_rt.jsonl");
     const std::string fp = batch::config_fingerprint("cfg-a");
     {
         auto journal = batch::CheckpointJournal::create(path, fp);
@@ -418,12 +417,11 @@ TEST(Checkpoint, JournalRoundTripsThroughResume)
     resumed.close();
     auto resumed2 = batch::CheckpointJournal::resume(path, fp);
     EXPECT_EQ(resumed2.resumed().size(), 4u);
-    std::filesystem::remove(path);
 }
 
 TEST(Checkpoint, ResumeRefusesIncompatibleConfig)
 {
-    const std::string path = ::testing::TempDir() + "/journal_mismatch.jsonl";
+    const std::string path = testing::temp_path("journal_mismatch.jsonl");
     {
         auto journal = batch::CheckpointJournal::create(
             path, batch::config_fingerprint("cfg-a"));
@@ -441,14 +439,13 @@ TEST(Checkpoint, ResumeRefusesIncompatibleConfig)
         EXPECT_NE(what.find(batch::config_fingerprint("cfg-b")),
                   std::string::npos);
     }
-    std::filesystem::remove(path);
 }
 
 TEST(Checkpoint, ResumeWithoutJournalExplainsItself)
 {
     try {
         batch::CheckpointJournal::resume(
-            ::testing::TempDir() + "/no_such_journal.jsonl", "fp");
+            testing::temp_path("no_such_journal.jsonl"), "fp");
         FAIL() << "resume should fail without a journal";
     } catch (const FatalError& error) {
         EXPECT_NE(std::string(error.what()).find("--resume"),

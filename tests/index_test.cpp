@@ -26,6 +26,7 @@
 #include "seq/sequence.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "test_temp_dir.h"
 
 namespace darwin::index {
 namespace {
@@ -40,11 +41,7 @@ random_sequence(std::size_t len, std::uint64_t seed)
     return seq::Sequence("rand", std::move(codes));
 }
 
-std::string
-temp_path(const std::string& name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
+using darwin::testing::temp_path;
 
 /** Write a valid index for a deterministic 2 kb sequence. */
 std::string

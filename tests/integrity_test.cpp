@@ -9,7 +9,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -34,16 +33,12 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "wga/params.h"
+#include "test_temp_dir.h"
 
 namespace darwin::index {
 namespace {
 
-std::string
-temp_path(const std::string& name)
-{
-    return ::testing::TempDir() + "/integrity_" +
-           std::to_string(::getpid()) + "_" + name;
-}
+using darwin::testing::temp_path;
 
 seq::Sequence
 random_sequence(std::size_t len, std::uint64_t seed)
@@ -322,7 +317,7 @@ TEST(Fsck, CleanArtifactsOfEveryKindReportNoFindings)
     {
         auto j = batch::CheckpointJournal::create(
             journal, batch::config_fingerprint("fsck-test"));
-        batch::write_file_atomic(::testing::TempDir() + "/fsck_p0.maf",
+        batch::write_file_atomic(temp_path("fsck_p0.maf"),
                                  "a\n");
         j.record({"p0", fault::PairStatus::Clean, "",
                   "fsck_p0.maf"});

@@ -19,13 +19,15 @@
  * column-serial stripe engine survives as `gactx_reference_align`, and
  * thousands of seeded tiles (random, related, synth-evolved; num_pe in
  * {1, 7, 32, 64}; ydrop sweeps; degenerate/empty spans; traceback-OOM
- * budgets) are swept through every registered wavefront kernel,
+ * budgets; the diagonal-major pointer store's edges) are swept through
+ * every registered kernel,
  * asserting the *entire* TileResult — max score, the (target_max,
  * query_max) tie-break, cells_computed, stripe_columns,
  * traceback_bytes, and the CIGAR — matches the seed engine exactly.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -298,10 +300,11 @@ TEST(KernelDiff, VectorKernelsActuallyRegistered)
     // build actually registered the SIMD kernels on x86 CI hosts.
 #if defined(__x86_64__)
     const auto& kernels = KernelRegistry::instance().kernels();
-    ASSERT_EQ(kernels.size(), 3u);
+    ASSERT_EQ(kernels.size(), 4u);
     EXPECT_TRUE(kernels[0].usable());  // scalar, always
     EXPECT_TRUE(kernels[1].compiled);
     EXPECT_TRUE(kernels[2].compiled);
+    EXPECT_TRUE(kernels[3].compiled);
     for (const KernelImpl& k : kernels) {
         if (k.usable()) {
             EXPECT_NE(k.gactx, nullptr) << k.name;
@@ -515,6 +518,92 @@ TEST(GactXKernelDiff, DegenerateSpans)
         params.ydrop = 1;  // boundary row dies at the first gap column
         expect_gactx_identical(sp(t), sp(q), params, "ydrop=1");
     }
+}
+
+TEST(GactXKernelDiff, DiagonalMajorStoreEdges)
+{
+    // The traceback store packs each stripe diagonal-major with `lanes`
+    // (rows rounded up to even) nibbles per diagonal. Stress its edges
+    // for every usable kernel: stripe heights off the 8/16-lane grid
+    // (odd heights pad a nibble per diagonal), odd first lanes in the
+    // ramp-down triangle of stripes that run to the last column, a
+    // stripe that terminates while the wavefront has already started
+    // later columns, and the out-of-memory stop exactly at and one byte
+    // over the traceback budget.
+    auto params = GactXParams{};
+    Rng rng(1212);
+    const std::size_t n = 301;  // odd: rlo runs through odd values
+    const auto t = random_codes(n, 4, rng);
+    const auto related = mutated_copy(t, 0.08, 0.02, rng);
+    std::vector<std::uint8_t> diverging(t.begin(), t.begin() + 120);
+    const auto tail = random_codes(180, 4, rng);
+    diverging.insert(diverging.end(), tail.begin(), tail.end());
+
+    int terminated = 0;
+    int budget_edges = 0;
+    for (const std::size_t npe : {1u, 7u, 9u, 17u, 31u, 33u, 63u}) {
+        params.num_pe = npe;
+        params.traceback_bytes = 1ULL << 20;
+
+        // Full-width stripes: every diagonal of every ramp-down runs.
+        params.ydrop = 9430;
+        expect_gactx_identical(sp(t), sp(related), params, "full sweep");
+
+        // Best cell in the last target column, its row walking through
+        // both lane parities: on a stripe's last column, lane r is the
+        // first active lane of its diagonal, so odd rows there take the
+        // single-nibble store next to an inactive even lane.
+        for (std::size_t cut = 1; cut <= 4; ++cut) {
+            std::vector<std::uint8_t> q(t.begin(), t.begin() + 100);
+            q.insert(q.end(), t.begin() + 100 + cut, t.end());
+            const auto extra = random_codes(40, 4, rng);
+            q.insert(q.end(), extra.begin(), extra.end());
+            expect_gactx_identical(sp(t), sp(q), params, "last column");
+        }
+
+        // A small ydrop ends stripe 0 inside the tile once the query
+        // stops matching; its lanes above the last row had already
+        // started the columns beyond the terminating one.
+        params.ydrop = 60;
+        const TileResult early =
+            kernels::gactx_reference_align(sp(t), sp(diverging), params);
+        if (npe > 1 && !early.stripe_columns.empty() &&
+            early.stripe_columns.front() < n + 1)
+            ++terminated;
+        expect_gactx_identical(sp(t), sp(diverging), params,
+                               "early termination");
+
+        // Accounted bytes after each stripe (the hardware's row-major
+        // 4-bit formula), then budgets exactly at and one byte under a
+        // middle stripe's total.
+        params.ydrop = 9430;
+        const TileResult full =
+            kernels::gactx_reference_align(sp(t), sp(related), params);
+        std::uint64_t accounted = 0;
+        const std::size_t stop = full.stripe_columns.size() / 2;
+        for (std::size_t k = 0; k <= stop; ++k) {
+            const std::size_t rows =
+                std::min(npe, related.size() - k * npe);
+            accounted += rows * ((full.stripe_columns[k] + 1) / 2);
+        }
+        params.traceback_bytes = accounted;
+        const TileResult at_budget =
+            kernels::gactx_reference_align(sp(t), sp(related), params);
+        params.traceback_bytes = accounted - 1;
+        const TileResult over_budget =
+            kernels::gactx_reference_align(sp(t), sp(related), params);
+        if (at_budget.stripe_columns.size() > stop + 1 &&
+            over_budget.stripe_columns.size() == stop + 1)
+            ++budget_edges;
+        params.traceback_bytes = accounted;
+        expect_gactx_identical(sp(t), sp(related), params, "at budget");
+        params.traceback_bytes = accounted - 1;
+        expect_gactx_identical(sp(t), sp(related), params,
+                               "one byte over budget");
+    }
+    // The shapes must really reach the edges they are named for.
+    EXPECT_GE(terminated, 5);
+    EXPECT_EQ(budget_edges, 7);
 }
 
 }  // namespace

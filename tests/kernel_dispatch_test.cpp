@@ -35,7 +35,7 @@ struct SelectionGuard {
 TEST(KernelRegistry, TableIsStable)
 {
     const auto& kernels = KernelRegistry::instance().kernels();
-    ASSERT_EQ(kernels.size(), 3u);
+    ASSERT_EQ(kernels.size(), 4u);
     EXPECT_EQ(kernels[0].id, 0);
     EXPECT_STREQ(kernels[0].name, "scalar");
     EXPECT_TRUE(kernels[0].usable());
@@ -43,6 +43,8 @@ TEST(KernelRegistry, TableIsStable)
     EXPECT_STREQ(kernels[1].name, "sse42");
     EXPECT_EQ(kernels[2].id, 2);
     EXPECT_STREQ(kernels[2].name, "avx2");
+    EXPECT_EQ(kernels[3].id, 3);
+    EXPECT_STREQ(kernels[3].name, "avx512");
 }
 
 TEST(KernelRegistry, SelectByNameAndAuto)

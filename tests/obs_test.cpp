@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -23,6 +22,7 @@
 #include "synth/species.h"
 #include "util/logging.h"
 #include "wga/pipeline.h"
+#include "test_temp_dir.h"
 
 namespace darwin::obs {
 namespace {
@@ -173,12 +173,10 @@ TEST(Logging, DarwinLogEnvironmentSetsThreshold)
 
 TEST(Logging, JsonLinesSinkWritesOneObjectPerLine)
 {
-    const auto path = std::filesystem::temp_directory_path() /
-                      "darwin_obs_test_log.jsonl";
-    std::filesystem::remove(path);
+    const std::string path = testing::temp_path("log.jsonl");
     const LogLevel before = log_level();
     set_log_level(LogLevel::Info);
-    add_log_sink(std::make_shared<JsonLinesSink>(path.string()));
+    add_log_sink(std::make_shared<JsonLinesSink>(path));
     inform("batch started", {{"pairs", "8"}, {"threads", "4"}});
     warn("queue \"deep\"");
     clear_log_sinks();
@@ -198,7 +196,6 @@ TEST(Logging, JsonLinesSinkWritesOneObjectPerLine)
     EXPECT_NE(line.find("\"level\": \"warn\""), std::string::npos);
     // The quotes in the message were escaped.
     EXPECT_NE(line.find("queue \\\"deep\\\""), std::string::npos);
-    std::filesystem::remove(path);
 }
 
 TEST(Trace, SpansAreInertWithoutInstalledSession)

@@ -19,6 +19,7 @@
 #include "seq/packed_sequence.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "test_temp_dir.h"
 
 namespace darwin::seq {
 namespace {
@@ -161,23 +162,13 @@ class PackedIo : public ::testing::Test {
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               ("darwin_packed_test_" +
-                std::to_string(::getpid()) + "_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name());
-        std::filesystem::create_directories(dir_);
-        fasta_ = (dir_ / "genome.fa").string();
+        fasta_ = testing::temp_path("genome.fa");
         sidecar_ = fasta_ + ".2bit";
         std::ofstream out(fasta_);
         out << ">chrA test\nACGTACGTNNNNACGTTTTTGGGGCCCCAAAA\n"
             << "ACGTNACGTN\n>chrB\nTTTTACGTACGTACGTACGTNNN\n";
     }
 
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    std::filesystem::path dir_;
     std::string fasta_;
     std::string sidecar_;
 };

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 #include <thread>
 
@@ -26,6 +25,7 @@
 #include "wga/maf.h"
 #include "wga/pipeline.h"
 #include "wga/spill.h"
+#include "test_temp_dir.h"
 
 namespace darwin::wga {
 namespace {
@@ -229,10 +229,7 @@ TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
         target, pattern, seed::SeedIndex::kDefaultMaxBucket, 4000,
         params.dsoft.chunk_size, params.dsoft.bin_size);
 
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "darwin_stream_test_sharded.dwi")
-            .string();
+    const std::string path = testing::temp_path("sharded.dwi");
     index::save_sharded_index(path, builder, 4000, 0x1234, target.size());
 
     const index::IndexInfo info = index::read_index_info(path);

@@ -11,7 +11,8 @@
  *   --trace-out FILE         Chrome/Perfetto trace_event JSON
  *   --progress-interval SEC  heartbeat progress log (0 = off)
  *   --log-json FILE          mirror log records as JSON lines
- *   --kernel NAME            filter kernel: auto|scalar|sse42|avx2
+ *   --kernel NAME            filter and extension kernel:
+ *                            auto|scalar|sse42|avx2|avx512
  *                            (overrides the DARWIN_KERNEL env var; every
  *                            kernel is bit-identical, this only selects
  *                            the implementation)
@@ -57,7 +58,8 @@ add_obs_options(ArgParser& args)
     args.add_option("log-json", "",
                     "also write log records as JSON lines to this file");
     args.add_option("kernel", "",
-                    "filter kernel: auto|scalar|sse42|avx2 (default: "
+                    "filter and extension kernel: "
+                    "auto|scalar|sse42|avx2|avx512 (default: "
                     "$DARWIN_KERNEL, else auto)");
 }
 
