@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "align/gactx.h"
-#include "batch/shard.h"
 #include "fault/fault_plan.h"
 #include "index/index_cache.h"
 #include "index/index_io.h"
@@ -31,54 +30,13 @@ namespace darwin::batch {
 
 namespace {
 
-/** Work items flowing between the stages. */
+/** Work items: a pair's prepare step, then one task per strand. */
 struct PrepareTask {
     std::size_t pair = 0;
 };
-struct SeedTask {
+struct StrandTask {
     std::size_t pair = 0;
-    std::size_t strand = 0;
-    std::size_t shard = 0;
-};
-struct FilterTask {
-    std::size_t pair = 0;
-    std::size_t strand = 0;
-    std::size_t shard = 0;
-    std::vector<seed::SeedHit> hits;
-};
-struct ExtendTask {
-    std::size_t pair = 0;
-    std::size_t strand = 0;
-};
-struct ChainTask {
-    std::size_t pair = 0;
-};
-
-/** Per-strand dataflow state of one pair. */
-struct StrandState {
-    const seq::Sequence* query = nullptr;  ///< oriented strand sequence
-    std::span<const std::uint8_t> query_span;
-    std::vector<Shard> shards;
-    std::unique_ptr<wga::FilterStage> filter;
-    /** Candidates per shard, merged canonically when the last shard
-     *  finishes filtering. */
-    std::vector<std::vector<wga::FilterCandidate>> shard_candidates;
-    std::atomic<std::size_t> shards_remaining{0};
-    std::vector<wga::FilterCandidate> candidates;
-    std::vector<align::Alignment> alignments;
-
-    void
-    reset()
-    {
-        query = nullptr;
-        query_span = {};
-        shards.clear();
-        filter.reset();
-        shard_candidates.clear();
-        shards_remaining.store(0);
-        candidates.clear();
-        alignments.clear();
-    }
+    std::size_t strand = 0;  ///< 0 forward, 1 reverse complement
 };
 
 /** Everything the engine tracks for one manifest entry. */
@@ -89,15 +47,13 @@ struct PairState {
      *  degraded retry narrows. Stages reference it, so it only changes
      *  between attempts (when no task of the pair is running). */
     wga::WgaParams params;
-    const seq::Sequence* target_flat = nullptr;
     std::span<const std::uint8_t> target_span;
     seq::Sequence query_rc;  ///< owned reverse complement (both-strands)
     /** Borrowed from the engine's index cache; pairs sharing a target
      *  (same sequence digest) point at the same table. */
     std::shared_ptr<const seed::SeedIndex> index;
-    std::unique_ptr<seed::DsoftSeeder> seeder;
-    std::array<StrandState, 2> strands;
-    std::size_t num_strands = 1;
+    /** Per-strand alignments, concatenated forward-first at chain. */
+    std::array<std::vector<align::Alignment>, 2> strand_alignments;
     std::atomic<std::size_t> strands_remaining{1};
     std::mutex stats_mutex;
     wga::WgaResult result;
@@ -122,17 +78,25 @@ struct PairState {
     BatchPairResult out;        ///< filled at finalize
 };
 
-/** The dataflow engine for one run() invocation. */
+/** Name the stage a task is entering (what a failure is attributed
+ *  to), then poll its `batch.<stage>` probe. */
+void
+enter_stage(const char*& current, const char* stage, const char* probe)
+{
+    current = stage;
+    fault::poll(probe);
+}
+
+/** The batch engine for one run() invocation. */
 class Engine {
   public:
     Engine(const BatchOptions& options, MetricsRegistry& metrics,
            const std::vector<BatchJob>& jobs)
         : options_(options), metrics_(metrics), jobs_(jobs),
+          // Room for every task a pair can have queued at once — one
+          // prepare, or one task per strand — so a push never fails.
           prepare_queue_(std::max<std::size_t>(jobs.size(), 1)),
-          seed_queue_(options.queue_capacity),
-          filter_queue_(options.queue_capacity),
-          extend_queue_(options.queue_capacity),
-          chain_queue_(options.queue_capacity),
+          strand_queue_(std::max<std::size_t>(2 * jobs.size(), 1)),
           pairs_remaining_(jobs.size())
     {
         if (options_.index_cache != nullptr) {
@@ -189,10 +153,8 @@ class Engine {
         // batch and serial runs stay comparable.
         wga::publish_kernel_gauges(metrics_);
 
-        for (std::size_t p = 0; p < jobs_.size(); ++p) {
-            PrepareTask task{p};
-            enqueue(prepare_queue_, task, "prepare", kPrepare, p);
-        }
+        for (std::size_t p = 0; p < jobs_.size(); ++p)
+            enqueue(prepare_queue_, PrepareTask{p}, "prepare");
 
         std::size_t num_workers = options_.num_threads;
         if (num_workers == 0) {
@@ -206,11 +168,10 @@ class Engine {
         for (auto& worker : workers)
             worker.join();
 
-        // The run is over: every stage queue is drained (or abandoned on
-        // a fatal abort), so the depth gauges must read zero again.
-        for (const char* stage :
-             {"prepare", "seed", "filter", "extend", "chain"})
-            metrics_.gauge(strprintf("batch.queue.%s.depth", stage)).set(0);
+        // The run is over: both queues are drained (or abandoned on a
+        // fatal abort), so the depth gauges must read zero again.
+        for (const char* queue : {"prepare", "strand"})
+            metrics_.gauge(strprintf("batch.queue.%s.depth", queue)).set(0);
 
         if (fatal_)
             std::rethrow_exception(fatal_);
@@ -223,59 +184,26 @@ class Engine {
     }
 
   private:
-    /** Stage depth, deepest first; used to bound help-drain recursion. */
-    enum Stage : int {
-        kChain = 0,
-        kExtend = 1,
-        kFilter = 2,
-        kSeed = 3,
-        kPrepare = 4,
-    };
-
     /** Register a task with its pair's inflight count, then push. The
      *  increment happens before the push so the pair can never settle
      *  (retry/quarantine) while this task is still queued. */
-    template <typename Queue, typename Task>
+    template <typename Task>
     void
-    enqueue(Queue& queue, Task& task, const char* stage, int stage_level,
-            std::size_t pair)
+    enqueue(WorkQueue<Task>& queue, Task task, const char* name)
     {
-        pairs_[pair]->inflight.fetch_add(1, std::memory_order_acq_rel);
-        push_task(queue, task, stage, stage_level);
-    }
-
-    /**
-     * Push to a stage queue without ever blocking the pipeline: when the
-     * queue is full, help drain work at the target stage or deeper until
-     * space opens. Helping only downstream keeps the recursion bounded
-     * by the pipeline depth, and is what lets a single worker thread run
-     * the whole dataflow without deadlocking on backpressure.
-     */
-    template <typename Queue, typename Task>
-    void
-    push_task(Queue& queue, Task& task, const char* stage, int stage_level)
-    {
-        while (!queue.try_push(task)) {
-            if (done_.load(std::memory_order_acquire)) {
-                // Aborting; drop the task but keep the inflight count
-                // honest (nothing settles after done_, run() rethrows).
-                pair_of(task)->inflight.fetch_sub(
-                    1, std::memory_order_acq_rel);
-                return;
-            }
-            if (!run_one(stage_level))
-                std::this_thread::yield();
-        }
-        metrics_.gauge(strprintf("batch.queue.%s.depth", stage))
-            .set(static_cast<std::int64_t>(queue.size()));
+        pairs_[task.pair]->inflight.fetch_add(1, std::memory_order_acq_rel);
+        const bool pushed = queue.try_push(task);
+        require(pushed, "batch: task queue overflow");
+        publish_depth(name, queue);
         wake_.notify_one();
     }
 
     template <typename Task>
-    PairState*
-    pair_of(const Task& task)
+    void
+    publish_depth(const char* name, const WorkQueue<Task>& queue)
     {
-        return pairs_[task.pair].get();
+        metrics_.gauge(strprintf("batch.queue.%s.depth", name))
+            .set(static_cast<std::int64_t>(queue.size()));
     }
 
     void
@@ -284,7 +212,7 @@ class Engine {
         while (!done_.load(std::memory_order_acquire)) {
             if (fault::shutdown_requested())
                 handle_shutdown();
-            if (run_one(kPrepare))
+            if (run_one())
                 continue;
             // Timed wait: a plain wait could miss a notify that raced
             // with the queue polls; 1ms bounds the idle-retry latency.
@@ -293,61 +221,39 @@ class Engine {
         }
     }
 
-    /** Run one task at `max_level` or deeper (deepest first). False
-     *  when those queues are all empty (work may still be in flight on
-     *  other workers). */
+    /** Run one task, strand tasks before prepare tasks, so pairs
+     *  already started finish before new ones begin. False when both
+     *  queues are empty (work may still be in flight on other
+     *  workers). */
     bool
-    run_one(int max_level)
+    run_one()
     {
-        if (auto task = chain_queue_.try_pop()) {
-            after_pop("chain", chain_queue_);
-            run_pair_task(task->pair, "chain", "batch.chain", false,
-                          [&] { do_chain(*task); });
+        if (auto task = strand_queue_.try_pop()) {
+            publish_depth("strand", strand_queue_);
+            run_pair_task(task->pair, "seed", "batch.seed", false,
+                          [&](const char*& stage) { do_strand(*task, stage); });
             return true;
         }
-        if (max_level >= kExtend) {
-            if (auto task = extend_queue_.try_pop()) {
-                after_pop("extend", extend_queue_);
-                run_pair_task(task->pair, "extend", "batch.extend", false,
-                              [&] { do_extend(*task); });
-                return true;
-            }
-        }
-        if (max_level >= kFilter) {
-            if (auto task = filter_queue_.try_pop()) {
-                after_pop("filter", filter_queue_);
-                run_pair_task(task->pair, "filter", "batch.filter", false,
-                              [&] { do_filter(*task); });
-                return true;
-            }
-        }
-        if (max_level >= kSeed) {
-            if (auto task = seed_queue_.try_pop()) {
-                after_pop("seed", seed_queue_);
-                run_pair_task(task->pair, "seed", "batch.seed", false,
-                              [&] { do_seed(*task); });
-                return true;
-            }
-        }
-        if (max_level >= kPrepare) {
-            if (auto task = prepare_queue_.try_pop()) {
-                after_pop("prepare", prepare_queue_);
-                run_pair_task(task->pair, "prepare", "batch.prepare", true,
-                              [&] { do_prepare(*task); });
-                return true;
-            }
+        if (auto task = prepare_queue_.try_pop()) {
+            publish_depth("prepare", prepare_queue_);
+            run_pair_task(task->pair, "prepare", "batch.prepare", true,
+                          [&](const char*&) { do_prepare(*task); });
+            return true;
         }
         return false;
     }
 
     /**
-     * The per-pair isolation boundary every stage task runs inside. The
+     * The per-pair isolation boundary every task runs inside. The
      * pair's CancelToken is installed for the calling thread (so kernel
      * probes charge and poll it), and the exception ladder routes each
      * failure class: FatalError aborts the whole run with pair+stage
-     * context, everything else fails only this pair. Tasks of an
-     * already-failed pair are dropped here, which is how a poisoned
-     * pair's queued work drains without executing.
+     * context, everything else fails only this pair. The task starts in
+     * `stage` (after polling `probe`); `fn` moves it on to later stages
+     * through its `const char*&` argument (enter_stage), so a failure is
+     * attributed to the stage that raised it. Tasks of an already-failed
+     * pair are dropped here, which is how a poisoned pair's queued work
+     * drains without executing.
      */
     template <typename Fn>
     void
@@ -376,7 +282,7 @@ class Engine {
         fault::ContextScope scope(&pair.token, idx);
         try {
             fault::poll(probe);
-            fn();
+            fn(stage);
         } catch (const FatalError&) {
             fatal_abort(idx, stage, std::current_exception());
             return;
@@ -473,14 +379,10 @@ class Engine {
         pair.result = wga::WgaResult{};
         pair.query_rc = seq::Sequence{};
         pair.index.reset();
-        pair.seeder.reset();
-        for (StrandState& strand : pair.strands)
-            strand.reset();
-        pair.num_strands = 1;
-        pair.strands_remaining.store(1);
+        for (auto& alignments : pair.strand_alignments)
+            alignments.clear();
         pair.failed.store(false, std::memory_order_release);
-        PrepareTask task{pair.pair_index};
-        enqueue(prepare_queue_, task, "prepare", kPrepare, pair.pair_index);
+        enqueue(prepare_queue_, PrepareTask{pair.pair_index}, "prepare");
     }
 
     void
@@ -597,23 +499,15 @@ class Engine {
         }
     }
 
-    template <typename Queue>
-    void
-    after_pop(const char* stage, Queue& queue)
-    {
-        metrics_.gauge(strprintf("batch.queue.%s.depth", stage))
-            .set(static_cast<std::int64_t>(queue.size()));
-    }
-
     /**
      * Streaming mode runs the pair whole, here in the prepare stage:
      * run_streaming is already an internally-overlapped dataflow
-     * (seeding producer / filtering consumer), so slicing it across
-     * the engine's stage queues would only add materialization the
-     * mode exists to avoid. The engine still provides what the serial
-     * CLI cannot: pair-level concurrency across workers, per-pair
-     * budget tokens, degraded retries and quarantine — the prepare
-     * task's run_pair_task wrapper covers the entire run.
+     * (seeding producer / filtering consumer), so splitting it into
+     * strand tasks would only add materialization the mode exists to
+     * avoid. The engine still provides what the serial CLI cannot:
+     * pair-level concurrency across workers, per-pair budget tokens,
+     * degraded retries and quarantine — the prepare task's
+     * run_pair_task wrapper covers the entire run.
      */
     void
     do_streaming_pair(const PrepareTask& task)
@@ -647,11 +541,10 @@ class Engine {
         PairState& pair = *pairs_[task.pair];
         const wga::WgaParams& params = pair.params;
 
-        pair.target_flat = &pair.job->target->flattened();
-        pair.target_span = {pair.target_flat->codes().data(),
-                            pair.target_flat->size()};
+        const seq::Sequence& target = pair.job->target->flattened();
+        pair.target_span = {target.codes().data(), target.size()};
         // Acquire the target's index from the cache: the first pair of a
-        // shard-group builds it, the rest (and the degraded retry, which
+        // target builds it, the rest (and the degraded retry, which
         // leaves the seed shape untouched) reuse it.
         const index::IndexKey key{target_digests_.at(pair.job->target),
                                   params.seed_pattern,
@@ -661,185 +554,90 @@ class Engine {
             key,
             [&] {
                 return std::make_shared<const seed::SeedIndex>(
-                    *pair.target_flat,
-                    seed::SeedPattern(params.seed_pattern));
+                    target, seed::SeedPattern(params.seed_pattern));
             },
             &built);
         if (!built)
             metrics_.counter("batch.index.cache_hits").add(1);
-        pair.seeder =
-            std::make_unique<seed::DsoftSeeder>(*pair.index, params.dsoft);
 
-        pair.num_strands = params.align_both_strands ? 2 : 1;
-        pair.strands_remaining.store(pair.num_strands);
-        const seq::Sequence& query_fwd = pair.job->query->flattened();
-        if (pair.num_strands == 2)
-            pair.query_rc = query_fwd.reverse_complement();
-
-        const std::size_t margin = default_shard_margin(params);
-        std::size_t total_shards = 0;
-        for (std::size_t s = 0; s < pair.num_strands; ++s) {
-            StrandState& strand = pair.strands[s];
-            strand.query = s == 0 ? &query_fwd : &pair.query_rc;
-            strand.query_span = {strand.query->codes().data(),
-                                 strand.query->size()};
-            strand.shards =
-                make_shards(strand.query->size(), options_.shard_length,
-                            params.dsoft.chunk_size, margin);
-            strand.shard_candidates.resize(strand.shards.size());
-            strand.shards_remaining.store(strand.shards.size());
-            strand.filter = std::make_unique<wga::FilterStage>(
-                params, pair.target_span, strand.query_span);
-            total_shards += strand.shards.size();
-        }
+        const std::size_t num_strands = params.align_both_strands ? 2 : 1;
+        if (num_strands == 2)
+            pair.query_rc = pair.job->query->flattened().reverse_complement();
+        pair.strands_remaining.store(num_strands);
         {
             // Index construction is the serial pipeline's up-front
             // seed_seconds; account it the same way.
             std::lock_guard<std::mutex> lock(pair.stats_mutex);
             pair.result.stats.seed_seconds += timer.seconds();
         }
-        metrics_.counter("batch.shards").add(total_shards);
         metrics_.histogram("batch.prepare.seconds").observe(timer.seconds());
 
-        for (std::size_t s = 0; s < pair.num_strands; ++s) {
-            StrandState& strand = pair.strands[s];
-            if (strand.shards.empty()) {
-                // Empty strand (zero-length query): complete it now.
-                ExtendTask extend{task.pair, s};
-                enqueue(extend_queue_, extend, "extend", kExtend, task.pair);
-                continue;
-            }
-            for (std::size_t shard = 0; shard < strand.shards.size();
-                 ++shard) {
-                SeedTask seed{task.pair, s, shard};
-                enqueue(seed_queue_, seed, "seed", kSeed, task.pair);
-            }
-        }
+        for (std::size_t s = 0; s < num_strands; ++s)
+            enqueue(strand_queue_, StrandTask{task.pair, s}, "strand");
     }
 
+    /**
+     * One strand of a pair: the serial pipeline's three stage calls
+     * (run_one_strand in wga/pipeline.cpp) back to back on this worker,
+     * so the strand's alignments are the serial ones by construction.
+     * Whichever strand task of the pair finishes last runs the chain
+     * step.
+     */
     void
-    do_seed(const SeedTask& task)
+    do_strand(const StrandTask& task, const char*& stage)
     {
-        Timer timer;
-        obs::ScopedSpan span("seed", "batch");
+        obs::ScopedSpan span("strand", "batch");
         span.arg("pair", static_cast<std::int64_t>(task.pair));
         span.arg("strand", static_cast<std::int64_t>(task.strand));
-        span.arg("shard", static_cast<std::int64_t>(task.shard));
         PairState& pair = *pairs_[task.pair];
-        StrandState& strand = pair.strands[task.strand];
-        const Shard& shard = strand.shards[task.shard];
-        const std::size_t chunk_size = pair.params.dsoft.chunk_size;
-
-        // Seed the shard chunk-by-chunk — the exact decomposition
-        // DsoftSeeder::seed_all uses, so the hit set is identical.
+        const wga::WgaParams& params = pair.params;
+        const seq::Sequence& query = task.strand == 0
+                                         ? pair.job->query->flattened()
+                                         : pair.query_rc;
+        const std::span<const std::uint8_t> query_span{query.codes().data(),
+                                                       query.size()};
         wga::PipelineStats local;
-        FilterTask filter{task.pair, task.strand, task.shard, {}};
-        for (std::size_t begin = shard.begin; begin < shard.end;
-             begin += chunk_size) {
-            const std::size_t end =
-                std::min(strand.query->size(), begin + chunk_size);
-            auto hits = pair.seeder->seed_chunk(strand.query_span, begin,
-                                                end, &local.seeding);
-            filter.hits.insert(filter.hits.end(),
-                               std::make_move_iterator(hits.begin()),
-                               std::make_move_iterator(hits.end()));
-        }
+
+        // "seed" was entered (and batch.seed polled) by run_pair_task.
+        Timer timer;
+        const std::vector<seed::SeedHit> hits =
+            seed::DsoftSeeder(*pair.index, params.dsoft)
+                .seed_all(query, &local.seeding);
         local.seed_seconds = timer.seconds();
-        {
-            std::lock_guard<std::mutex> lock(pair.stats_mutex);
-            pair.result.stats.merge(local);
-        }
         metrics_.counter("batch.seed.tasks").add(1);
         metrics_.counter("batch.seed.lookups").add(local.seeding.seed_lookups);
         metrics_.counter("batch.seed.raw_hits").add(local.seeding.seed_hits);
-        metrics_.counter("batch.seed.hits").add(filter.hits.size());
-        metrics_.histogram("batch.seed.seconds").observe(timer.seconds());
-        enqueue(filter_queue_, filter, "filter", kFilter, task.pair);
-    }
+        metrics_.counter("batch.seed.hits").add(hits.size());
+        metrics_.histogram("batch.seed.seconds").observe(local.seed_seconds);
 
-    void
-    do_filter(FilterTask& task)
-    {
-        Timer timer;
-        obs::ScopedSpan span("filter", "batch");
-        span.arg("pair", static_cast<std::int64_t>(task.pair));
-        span.arg("strand", static_cast<std::int64_t>(task.strand));
-        span.arg("shard", static_cast<std::int64_t>(task.shard));
-        PairState& pair = *pairs_[task.pair];
-        StrandState& strand = pair.strands[task.strand];
-
-        wga::PipelineStats local;
-        // filter_hits keeps per-hit verdicts in hit order.
-        std::vector<wga::FilterCandidate> candidates;
-        for (const auto& slot :
-             strand.filter->filter_hits(task.hits, &local.filter)) {
-            if (slot)
-                candidates.push_back(*slot);
-        }
+        enter_stage(stage, "filter", "batch.filter");
+        timer.reset();
+        const std::vector<wga::FilterCandidate> candidates =
+            wga::FilterStage(params, pair.target_span, query_span)
+                .filter_all(hits, &local.filter);
         local.filter_seconds = timer.seconds();
         metrics_.counter("batch.filter.tasks").add(1);
-        metrics_.counter("batch.filter.hits_in").add(task.hits.size());
+        metrics_.counter("batch.filter.hits_in").add(hits.size());
         metrics_.counter("batch.filter.cells").add(local.filter.cells);
         metrics_.counter("batch.filter.candidates").add(candidates.size());
         metrics_.counter("batch.filter.dropped")
-            .add(task.hits.size() - candidates.size());
-        metrics_.histogram("batch.filter.seconds").observe(timer.seconds());
-        strand.shard_candidates[task.shard] = std::move(candidates);
-        {
-            std::lock_guard<std::mutex> lock(pair.stats_mutex);
-            pair.result.stats.merge(local);
-        }
+            .add(hits.size() - candidates.size());
+        metrics_.histogram("batch.filter.seconds")
+            .observe(local.filter_seconds);
 
-        if (strand.shards_remaining.fetch_sub(1) == 1) {
-            // Last shard of this strand: merge in shard order and apply
-            // the canonical extension order (same sort as filter_all),
-            // making the candidate stream bit-identical to the serial
-            // pipeline's.
-            std::size_t total = 0;
-            for (const auto& shard_candidates : strand.shard_candidates)
-                total += shard_candidates.size();
-            strand.candidates.reserve(total);
-            for (auto& shard_candidates : strand.shard_candidates) {
-                strand.candidates.insert(strand.candidates.end(),
-                                         shard_candidates.begin(),
-                                         shard_candidates.end());
-                shard_candidates.clear();
-                shard_candidates.shrink_to_fit();
-            }
-            wga::sort_candidates(strand.candidates);
-            ExtendTask extend{task.pair, task.strand};
-            enqueue(extend_queue_, extend, "extend", kExtend, task.pair);
-        }
-    }
-
-    void
-    do_extend(const ExtendTask& task)
-    {
-        Timer timer;
-        obs::ScopedSpan span("extend", "batch");
-        span.arg("pair", static_cast<std::int64_t>(task.pair));
-        span.arg("strand", static_cast<std::int64_t>(task.strand));
-        PairState& pair = *pairs_[task.pair];
-        StrandState& strand = pair.strands[task.strand];
-        const wga::WgaParams& params = pair.params;
-
-        wga::PipelineStats local;
+        enter_stage(stage, "extend", "batch.extend");
+        timer.reset();
         const align::GactXTileAligner aligner(params.gactx);
-        wga::ExtendStage stage(params, pair.target_span, strand.query_span);
-        strand.alignments =
-            stage.extend_all(strand.candidates, aligner, &local.extend);
-        strand.candidates.clear();
-        strand.candidates.shrink_to_fit();
+        std::vector<align::Alignment>& alignments =
+            pair.strand_alignments[task.strand];
+        alignments = wga::ExtendStage(params, pair.target_span, query_span)
+                         .extend_all(candidates, aligner, &local.extend);
         const align::Strand orientation = task.strand == 0
                                               ? align::Strand::Forward
                                               : align::Strand::Reverse;
-        for (align::Alignment& alignment : strand.alignments)
+        for (align::Alignment& alignment : alignments)
             alignment.query_strand = orientation;
         local.extend_seconds = timer.seconds();
-        {
-            std::lock_guard<std::mutex> lock(pair.stats_mutex);
-            pair.result.stats.merge(local);
-        }
         metrics_.counter("batch.extend.tasks").add(1);
         metrics_.counter("batch.extend.anchors_in")
             .add(local.extend.anchors_in);
@@ -853,31 +651,34 @@ class Engine {
             .add(local.extend.extension.xdrop_terminations);
         metrics_.counter("batch.extend.matched_bases")
             .add(local.extend.matched_bases);
-        metrics_.counter("batch.alignments").add(strand.alignments.size());
-        metrics_.histogram("batch.extend.seconds").observe(timer.seconds());
+        metrics_.counter("batch.alignments").add(alignments.size());
+        metrics_.histogram("batch.extend.seconds")
+            .observe(local.extend_seconds);
+        {
+            std::lock_guard<std::mutex> lock(pair.stats_mutex);
+            pair.result.stats.merge(local);
+        }
 
         if (pair.strands_remaining.fetch_sub(1) == 1) {
-            ChainTask chain{task.pair};
-            enqueue(chain_queue_, chain, "chain", kChain, task.pair);
+            enter_stage(stage, "chain", "batch.chain");
+            chain_pair(pair);
         }
     }
 
     void
-    do_chain(const ChainTask& task)
+    chain_pair(PairState& pair)
     {
         Timer timer;
         obs::ScopedSpan span("chain", "batch");
-        span.arg("pair", static_cast<std::int64_t>(task.pair));
-        PairState& pair = *pairs_[task.pair];
+        span.arg("pair", static_cast<std::int64_t>(pair.pair_index));
         // Forward alignments first, then reverse — the serial
         // pipeline's concatenation order, which the chainer sees.
-        for (std::size_t s = 0; s < pair.num_strands; ++s) {
-            StrandState& strand = pair.strands[s];
+        for (auto& alignments : pair.strand_alignments) {
             pair.result.alignments.insert(
                 pair.result.alignments.end(),
-                std::make_move_iterator(strand.alignments.begin()),
-                std::make_move_iterator(strand.alignments.end()));
-            strand.alignments.clear();
+                std::make_move_iterator(alignments.begin()),
+                std::make_move_iterator(alignments.end()));
+            alignments.clear();
         }
         pair.result.chains = chain::chain_alignments(
             pair.result.alignments, options_.chain_params);
@@ -902,10 +703,7 @@ class Engine {
     std::unordered_map<const seq::Genome*, std::uint64_t> target_digests_;
 
     WorkQueue<PrepareTask> prepare_queue_;
-    WorkQueue<SeedTask> seed_queue_;
-    WorkQueue<FilterTask> filter_queue_;
-    WorkQueue<ExtendTask> extend_queue_;
-    WorkQueue<ChainTask> chain_queue_;
+    WorkQueue<StrandTask> strand_queue_;
 
     std::atomic<std::size_t> pairs_remaining_;
     std::atomic<bool> done_{false};

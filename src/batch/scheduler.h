@@ -1,26 +1,23 @@
 /**
  * @file
- * Streaming batch-alignment engine: many (target, query) pairs driven
- * through seed -> filter -> extend -> chain as a *dataflow* rather than
- * a barrier pipeline.
+ * Batch-alignment engine: many (target, query) pairs driven through
+ * seed -> filter -> extend -> chain by one pool of workers.
  *
- * Each pair's query strand is cut into chunk-aligned shards (see
- * batch/shard.h). Work units flow through bounded WorkQueues between
- * stages, so filter candidates from shard i are being extended while
- * shard i+1 is still seeding, and the forward and reverse strands of a
- * pair are two independent streams instead of serial phases. A fixed
- * set of stage-agnostic workers drains the queues downstream-first,
- * which keeps the deepest pipeline stages hot and gives natural
- * backpressure end to end.
+ * Each pair runs as a `prepare` task (acquire the target's seed index
+ * from the shared cache, build the reverse complement, arm the budget)
+ * followed by one `strand` task per query strand. A strand task calls
+ * the serial pipeline's stage functions back to back — seed_all,
+ * filter_all, extend_all — and whichever strand task of the pair
+ * finishes last chains the pair inline. Workers take strand tasks
+ * before prepare tasks, so started pairs finish before new ones begin;
+ * the forward and reverse strands of a pair can run on two workers at
+ * once.
  *
  * Determinism: results are bit-identical to running each pair through
- * the serial WgaPipeline. Three structural properties guarantee this —
- * shard boundaries are D-SOFT-chunk aligned (seeding is chunk-local, so
- * the union of per-shard hits equals the serial hit set); per-shard
- * filter candidates are merged and re-sorted with the same canonical
- * order filter_all() uses; and each strand's extension runs as a single
- * task over that canonical order, preserving the anchor-absorption
- * semantics of the serial extension stage.
+ * the serial WgaPipeline, because each strand runs the very stage calls
+ * WgaPipeline::run does (without a pool, which the stages' results do
+ * not depend on), and the chain step concatenates forward alignments
+ * before reverse ones as the serial pipeline does.
  *
  * Fault tolerance (see DESIGN.md "Fault tolerance & degradation"):
  * every pair runs under its own fault::CancelToken. An exception or
@@ -87,12 +84,6 @@ struct BatchOptions {
     /** Worker threads; 0 means hardware_concurrency(). */
     std::size_t num_threads = 0;
 
-    /** Query bp per shard (rounded up to the D-SOFT chunk size). */
-    std::size_t shard_length = 1 << 18;
-
-    /** Capacity of each inter-stage queue (backpressure bound). */
-    std::size_t queue_capacity = 128;
-
     /** Per-pair budgets; default unlimited. The wall clock starts when
      *  the pair's first task begins executing, not when it is queued. */
     fault::Budget pair_budget;
@@ -106,11 +97,11 @@ struct BatchOptions {
      * Bounded-memory mode: run each pair whole through
      * WgaPipeline::run_streaming — 2-bit packed storage, the seed
      * table built one band shard at a time, hits and candidates
-     * through spill-or-backpressure channels — instead of the sharded
-     * byte dataflow above. Results stay bit-identical (both modes
+     * through spill-or-backpressure channels — instead of the byte
+     * strand tasks above. Results stay bit-identical (both modes
      * reproduce the serial pipeline exactly); what changes is the
      * residency envelope: no whole-target seed table and no
-     * materialized per-shard candidate vectors, so the per-pair
+     * materialized hit or candidate vectors, so the per-pair
      * footprint is bounded by `streaming_params` regardless of genome
      * size. Pair isolation, budgets, degraded retries and quarantine
      * work unchanged. The shared index cache is bypassed — shard

@@ -5,7 +5,7 @@
  * renderable as Prometheus text exposition (obs/exposition.h).
  *
  * Promoted out of src/batch/ so every layer shares one vocabulary: the
- * batch engine exposes per-stage queue depths and task latencies
+ * batch engine exposes task queue depths and per-stage latencies
  * ("batch.*"), the serial WgaPipeline publishes its stage workload
  * counters ("wga.*"), the hw models publish modeled cycles and DRAM
  * traffic ("hw.*"), and the serve daemon publishes request/cache

@@ -1,5 +1,6 @@
 #include "seq/fasta.h"
 
+#include <array>
 #include <cctype>
 #include <fstream>
 #include <istream>
@@ -9,6 +10,27 @@
 #include "util/strings.h"
 
 namespace darwin::seq {
+
+namespace {
+
+/** Per byte: its encode_base code when is_iupac, else kNumCodes. The
+ *  parse loop takes one lookup per base from this instead of two
+ *  out-of-line calls, whose cost swung with code layout. */
+const std::array<std::uint8_t, 256>&
+iupac_codes()
+{
+    static const std::array<std::uint8_t, 256> table = [] {
+        std::array<std::uint8_t, 256> codes{};
+        for (std::size_t b = 0; b < codes.size(); ++b) {
+            const char c = static_cast<char>(b);
+            codes[b] = is_iupac(c) ? encode_base(c) : kNumCodes;
+        }
+        return codes;
+    }();
+    return table;
+}
+
+}  // namespace
 
 std::vector<Sequence>
 read_fasta(std::istream& in, const std::string& source)
@@ -21,6 +43,7 @@ read_fasta(std::istream& in, const std::string& source)
     bool in_record = false;
     std::size_t line_no = 0;
     std::size_t header_line = 0;
+    const std::array<std::uint8_t, 256>& iupac = iupac_codes();
 
     auto flush = [&] {
         if (!in_record)
@@ -59,18 +82,20 @@ read_fasta(std::istream& in, const std::string& source)
                             where.c_str(), line_no));
         }
         for (char c : line) {
+            const std::uint8_t code = iupac[static_cast<unsigned char>(c)];
+            if (code < kNumCodes) {
+                codes.push_back(code);
+                continue;
+            }
             if (std::isspace(static_cast<unsigned char>(c)))
                 continue;
             if (!std::isalpha(static_cast<unsigned char>(c))) {
                 fatal(strprintf("%s:%zu: invalid character '%c'",
                                 where.c_str(), line_no, c));
             }
-            if (!is_iupac(c)) {
-                fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide "
-                                "code (corrupt or non-DNA file?)",
-                                where.c_str(), line_no, c));
-            }
-            codes.push_back(encode_base(c));
+            fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide "
+                            "code (corrupt or non-DNA file?)",
+                            where.c_str(), line_no, c));
         }
     }
     if (in.bad()) {

@@ -4,8 +4,8 @@
  * backpressure overflow policy.
  *
  * The in-memory window is a WorkQueue (the same bounded channel the
- * batch engine puts between stages). What differs is what happens when
- * the window fills while the consumer lags:
+ * batch engine and the serve daemon queue work in). What differs is
+ * what happens when the window fills while the consumer lags:
  *
  *  - backpressure mode (spill disabled): the producer blocks, exactly
  *    like a bare WorkQueue push;

@@ -49,9 +49,9 @@ struct FilterStats {
 
 /**
  * Canonical extension order: descending filter score, ties broken by
- * anchor position. filter_all and the batch engine's shard merge share
- * this sort, so sharded filtering reproduces the serial candidate order
- * (and therefore the extension stage's output) exactly.
+ * anchor position. filter_all applies it, and run_streaming's
+ * spill merge reproduces it, so both feed extension the same candidate
+ * order (and therefore get the same extension output).
  */
 void sort_candidates(std::vector<FilterCandidate>& candidates);
 
@@ -82,7 +82,7 @@ class FilterStage {
     /**
      * Filter hits preserving hit order: slot i is hit i's candidate
      * (nullopt when it failed), computed by filter() — across the pool
-     * when one is given. Both filter_all and the batch scheduler route
+     * when one is given. Both filter_all and run_streaming route
      * through this.
      */
     std::vector<std::optional<FilterCandidate>> filter_hits(

@@ -47,7 +47,7 @@ struct PipelineStats {
 
     /**
      * Accumulate another stats block (workload counters and stage
-     * seconds). Used to combine per-strand and per-shard accounting;
+     * seconds). Used to combine per-stage and per-strand accounting;
      * note that when strands run concurrently the summed stage seconds
      * are CPU-time-like rather than wall-clock.
      */
@@ -223,8 +223,9 @@ void publish_pipeline_stats(obs::MetricsRegistry& metrics,
 /**
  * Publish which kernel implementation the filter and extension stages
  * dispatch to, as the `wga.filter.kernel` and `wga.extend.kernel`
- * gauges (id: 0 scalar, 1 sse42, 2 avx2). Every WgaPipeline entry point
- * and the batch scheduler call this, so all runs report the same set.
+ * gauges (id: 0 scalar, 1 sse42, 2 avx2, 3 avx512). Every WgaPipeline
+ * entry point and the batch scheduler call this, so all runs report the
+ * same set.
  */
 void publish_kernel_gauges(obs::MetricsRegistry& metrics);
 

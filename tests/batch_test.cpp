@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the streaming batch-alignment engine (src/batch/): shard
- * planning, the metrics registry, and — the load-bearing property — that
- * batch-engine output is bit-identical to running each pair through the
- * serial WgaPipeline, for 1, 2, and 8 worker threads, on a 6-pair
- * synthetic manifest.
+ * Tests for the batch-alignment engine (src/batch/): the metrics
+ * registry, and — the load-bearing property — that batch-engine output
+ * is bit-identical to running each pair through the serial WgaPipeline,
+ * for 1, 2, and 8 worker threads, on a 6-pair synthetic manifest.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "batch/metrics.h"
 #include "batch/scheduler.h"
-#include "batch/shard.h"
 #include "index/index_cache.h"
 #include "fault/fault_plan.h"
 #include "synth/species.h"
@@ -22,50 +20,6 @@
 
 namespace darwin::batch {
 namespace {
-
-TEST(Shard, PartitionsSequenceExactly)
-{
-    const auto shards = make_shards(10'000, 2'048, 64, 100);
-    ASSERT_FALSE(shards.empty());
-    EXPECT_EQ(shards.front().begin, 0u);
-    EXPECT_EQ(shards.back().end, 10'000u);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        EXPECT_EQ(shards[i].index, i);
-        if (i > 0) {
-            EXPECT_EQ(shards[i].begin, shards[i - 1].end);
-        }
-        // Boundaries are aligned to the seeding chunk size.
-        EXPECT_EQ(shards[i].begin % 64, 0u);
-    }
-}
-
-TEST(Shard, RoundsShardLengthUpToAlignment)
-{
-    // 1000 is not a multiple of 64: the step must round up to 1024.
-    const auto shards = make_shards(4'096, 1'000, 64, 0);
-    ASSERT_GE(shards.size(), 2u);
-    EXPECT_EQ(shards[0].end, 1'024u);
-    EXPECT_EQ(shards[1].begin, 1'024u);
-}
-
-TEST(Shard, MarginsClampToSequence)
-{
-    const auto shards = make_shards(1'000, 256, 64, 400);
-    ASSERT_GE(shards.size(), 2u);
-    EXPECT_EQ(shards.front().margin_begin, 0u);
-    EXPECT_EQ(shards.front().margin_end, 256u + 400u);
-    EXPECT_EQ(shards.back().margin_end, 1'000u);
-    for (const Shard& shard : shards) {
-        EXPECT_LE(shard.margin_begin, shard.begin);
-        EXPECT_GE(shard.margin_end, shard.end);
-        EXPECT_GE(shard.fetch_size(), shard.size());
-    }
-}
-
-TEST(Shard, EmptySequenceYieldsEmptyPlan)
-{
-    EXPECT_TRUE(make_shards(0, 1'024, 64, 100).empty());
-}
 
 TEST(Metrics, CountersAccumulateConcurrently)
 {
@@ -127,7 +81,7 @@ TEST(Metrics, JsonDumpContainsAllSections)
 /**
  * The shared 6-pair manifest: the paper's four species pairs plus two
  * re-seeded variants, small enough for test time but large enough that
- * every pair produces multiple shards, alignments, and chains.
+ * every pair produces multiple alignments and chains.
  */
 struct ManifestFixture {
     std::vector<synth::SpeciesPair> pairs;
@@ -250,10 +204,6 @@ run_and_compare(const ManifestFixture& fixture, bool both_strands,
     options.params = wga::WgaParams::darwin_defaults();
     options.params.align_both_strands = both_strands;
     options.num_threads = threads;
-    // Small shards/queues so every pair splits into multiple work units
-    // and the queues actually exercise backpressure.
-    options.shard_length = 2'048;
-    options.queue_capacity = 4;
 
     MetricsRegistry metrics;
     BatchScheduler scheduler(options, &metrics);
@@ -266,8 +216,8 @@ run_and_compare(const ManifestFixture& fixture, bool both_strands,
                          fixture.jobs[i].name + " @" +
                              std::to_string(threads) + " threads");
     }
-    // The engine actually sharded the work.
-    EXPECT_GT(metrics.counter("batch.shards").value(),
+    // One strand task per (pair, strand).
+    EXPECT_EQ(metrics.counter("batch.seed.tasks").value(),
               fixture.jobs.size() * (both_strands ? 2u : 1u));
     EXPECT_EQ(metrics.counter("batch.pairs_completed").value(),
               fixture.jobs.size());
@@ -307,8 +257,6 @@ TEST(BatchEngine, MatchesSerialWithFaultLayerArmed)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
-    options.queue_capacity = 4;
     options.pair_budget = {3'600.0, 1ull << 40, 1ull << 40};
 
     MetricsRegistry metrics;
@@ -339,7 +287,6 @@ TEST(BatchEngine, StageCountersReconcile)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
     MetricsRegistry metrics;
     BatchScheduler scheduler(options, &metrics);
     scheduler.run(fixture.jobs);
@@ -410,7 +357,6 @@ TEST(BatchEngine, SharedTargetBuildsIndexOnce)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 1;
-    options.shard_length = 2'048;
 
     index::IndexCache cache(4);
     options.index_cache = &cache;
@@ -439,7 +385,6 @@ TEST(BatchEngine, SharedTargetIdenticalUnderConcurrentPrepare)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
 
     index::IndexCache cache(4);
     options.index_cache = &cache;
@@ -462,7 +407,6 @@ TEST(BatchEngine, MetricsExposeStageLatenciesAndDepths)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
     MetricsRegistry metrics;
     BatchScheduler scheduler(options, &metrics);
     scheduler.run(fixture.jobs);
@@ -471,9 +415,16 @@ TEST(BatchEngine, MetricsExposeStageLatenciesAndDepths)
     EXPECT_GT(metrics.histogram("batch.filter.seconds").count(), 0u);
     EXPECT_GT(metrics.histogram("batch.extend.seconds").count(), 0u);
     EXPECT_GT(metrics.histogram("batch.chain.seconds").count(), 0u);
-    EXPECT_GE(metrics.gauge("batch.queue.seed.depth").high_water(), 1);
+    // Every prepare task is queued before the workers start.
+    EXPECT_EQ(metrics.gauge("batch.queue.prepare.depth").high_water(),
+              static_cast<std::int64_t>(fixture.jobs.size()));
+    // The run is over: every task queue drained back to empty.
+    const auto depths = metrics.gauge_snapshot("batch.queue.");
+    EXPECT_EQ(depths.size(), 2u);
+    for (const auto& [name, depth] : depths)
+        EXPECT_EQ(depth, 0) << name;
     const std::string json = metrics.to_json();
-    EXPECT_NE(json.find("batch.queue.filter.depth"), std::string::npos);
+    EXPECT_NE(json.find("batch.queue.strand.depth"), std::string::npos);
     EXPECT_NE(json.find("batch.extend.seconds"), std::string::npos);
 }
 

@@ -121,9 +121,6 @@ chaos_options(const ChaosFixture& fixture)
     BatchOptions options;
     options.params = fixture.params;
     options.num_threads = 4;
-    // Small shards/queues so pairs interleave and faults land mid-flight.
-    options.shard_length = 2'048;
-    options.queue_capacity = 4;
     return options;
 }
 
@@ -139,22 +136,21 @@ expect_fault_counters_reconcile(MetricsRegistry& metrics,
                   count("batch.fault.interrupted"),
               pairs_in);
     EXPECT_EQ(count("batch.pairs_completed"), pairs_in);
-    // The run is over: every stage queue drained back to empty.
-    for (const char* stage : {"prepare", "seed", "filter", "extend",
-                              "chain"}) {
-        EXPECT_EQ(metrics.gauge(strprintf("batch.queue.%s.depth", stage))
+    // The run is over: every task queue drained back to empty.
+    for (const char* queue : {"prepare", "strand"}) {
+        EXPECT_EQ(metrics.gauge(strprintf("batch.queue.%s.depth", queue))
                       .value(),
                   0)
-            << stage;
+            << queue;
     }
 }
 
 /**
- * The tentpole acceptance test: seven pairs are killed at seven
- * different probe points — task wrappers, the D-SOFT chunk loop, the
- * filter kernels, the GACT-X stripe loop, plus one simulated OOM — and
- * the other 25 pairs must come out bit-identical to the serial
- * pipeline, with the books balanced.
+ * The isolation acceptance test: nine pairs are killed at nine
+ * different probe points — every batch stage probe, the D-SOFT chunk
+ * loop, the filter kernels, the GACT-X stripe loop, plus one simulated
+ * OOM — and the other 23 pairs must come out bit-identical to the
+ * serial pipeline, with the books balanced.
  */
 TEST(ChaosIsolation, FaultsAcrossProbePointsQuarantineOnlyTheirPair)
 {
@@ -166,7 +162,9 @@ TEST(ChaosIsolation, FaultsAcrossProbePointsQuarantineOnlyTheirPair)
         "extend.stripe:throw:pair=9;"
         "batch.chain:throw:pair=12;"
         "filter.hit:oom:pair=15;"
-        "batch.extend:throw:pair=18");
+        "batch.extend:throw:pair=18;"
+        "batch.seed:throw:pair=21;"
+        "batch.filter:throw:pair=24");
     PlanGuard guard(plan);
 
     // expected stage and reason per quarantined pair index
@@ -179,6 +177,8 @@ TEST(ChaosIsolation, FaultsAcrossProbePointsQuarantineOnlyTheirPair)
             {12, {"chain", fault::FailReason::Injected}},
             {15, {"filter", fault::FailReason::OutOfMemory}},
             {18, {"extend", fault::FailReason::Injected}},
+            {21, {"seed", fault::FailReason::Injected}},
+            {24, {"filter", fault::FailReason::Injected}},
         };
 
     BatchOptions options = chaos_options(fixture);
@@ -220,7 +220,7 @@ TEST(ChaosIsolation, FaultsAcrossProbePointsQuarantineOnlyTheirPair)
               expected.size());
     EXPECT_EQ(metrics.counter("batch.fault.clean").value(),
               fixture.jobs.size() - expected.size());
-    EXPECT_GE(plan.injected(), 6u);  // the six throw entries all fired
+    EXPECT_GE(plan.injected(), 8u);  // the eight throw entries all fired
     expect_fault_counters_reconcile(metrics, fixture.jobs.size());
 }
 

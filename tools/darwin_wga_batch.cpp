@@ -3,11 +3,11 @@
  * `darwin-wga-batch` — streaming many-pair whole-genome alignment.
  *
  * Runs a manifest of (target, query) genome pairs through the batch
- * engine (src/batch/): each pair's query is sharded and driven through
- * seed -> filter -> extend -> chain as a pipeline-parallel dataflow, so
- * a handful of threads keeps every stage busy across the whole
- * manifest. Per-pair results are bit-identical to the serial
- * `darwin-wga align` pipeline.
+ * engine (src/batch/): a pool of workers runs each pair as a prepare
+ * task plus one seed -> filter -> extend task per query strand, and the
+ * pair's last strand task chains it, so a handful of threads stays busy
+ * across the whole manifest. Per-pair results are bit-identical to the
+ * serial `darwin-wga align` pipeline.
  *
  * Manifest file: one pair per line, `name target.fa query.fa`
  * (whitespace-separated; '#' starts a comment). Alternatively,
@@ -77,9 +77,10 @@ struct PendingPlan {
 /**
  * The canonical config string behind the journal fingerprint: exactly
  * the knobs that shape output bytes (preset, strands, seeds, budgets,
- * fault plan, and the pair list itself). Scheduling knobs — threads,
- * shard size, queue capacity — are deliberately excluded, so a resume
- * may use a different machine shape.
+ * fault plan, and the pair list itself). Knobs that only change how
+ * the work runs — threads, --streaming and its shard size and spill
+ * directory — are deliberately excluded, so a resume may use a
+ * different machine shape.
  */
 std::string
 canonical_config(const ArgParser& args)
@@ -216,8 +217,6 @@ main(int argc, char** argv)
     args.add_option("seed", "1", "synthetic generator seed");
     args.add_option("outdir", "batch_out", "output directory");
     args.add_option("threads", "0", "worker threads (0 = all cores)");
-    args.add_option("shard-bp", "262144", "query bp per work unit");
-    args.add_option("queue-cap", "128", "inter-stage queue capacity");
     args.add_flag("streaming",
                   "bounded-memory mode: run each pair whole through "
                   "the streaming pipeline (2-bit packed storage, seed "
@@ -302,10 +301,6 @@ main(int argc, char** argv)
             options.params.dsoft.transitions = false;
         options.num_threads =
             static_cast<std::size_t>(args.get_int("threads"));
-        options.shard_length =
-            static_cast<std::size_t>(args.get_int("shard-bp"));
-        options.queue_capacity =
-            static_cast<std::size_t>(args.get_int("queue-cap"));
         options.pair_budget.wall_seconds = args.get_double("pair-timeout");
         options.pair_budget.max_cells =
             static_cast<std::uint64_t>(args.get_int("pair-max-cells"));
@@ -325,8 +320,7 @@ main(int argc, char** argv)
             jobs.push_back({entry.name, &entry.target, &entry.query});
             by_name[entry.name] = &entry;
         }
-        inform(strprintf("batch: %zu pairs, %zu bp shards",
-                         jobs.size(), options.shard_length));
+        inform(strprintf("batch: %zu pairs", jobs.size()));
 
         batch::MetricsRegistry metrics;
         tools::ObsSetup obs_setup(args, metrics);
