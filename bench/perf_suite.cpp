@@ -38,7 +38,8 @@
  *
  * Four sections assert acceptance bars and make the suite exit nonzero
  * when missed, so CI can gate on them: index_reuse must cut per-pair
- * seeding latency by at least 5x, telemetry_overhead must stay under 2%
+ * seeding latency by at least 5x and keep the `.dwi` at or under 8 MB
+ * (the compact index's gate), telemetry_overhead must stay under 2%
  * (and leave the served MAF byte-identical), bounded_memory must finish
  * under its armed heap budget with byte-identical MAF, at most 16 MiB
  * of fixed dataflow residency, and no worse than 0.3x the in-RAM
@@ -105,6 +106,9 @@ run_capture(const std::string& command)
         fatal(strprintf("no JSON in output of: %s", command.c_str()));
     return output.substr(brace);
 }
+
+/** index_reuse bar on the persisted `.dwi` size (8 MB). */
+constexpr std::uint64_t kIndexBytesBar = 8'000'000;
 
 struct IndexReuseReport {
     std::size_t target_bp = 0;
@@ -752,7 +756,10 @@ run_suite(const ArgParser& args, const char* argv0)
          << "    \"identical_hits\": "
          << (reuse.identical_hits ? "true" : "false") << ",\n"
          << "    \"meets_5x\": "
-         << (reuse.speedup() >= 5.0 ? "true" : "false") << "\n"
+         << (reuse.speedup() >= 5.0 ? "true" : "false") << ",\n"
+         << "    \"meets_8mb\": "
+         << (reuse.index_bytes <= kIndexBytesBar ? "true" : "false")
+         << "\n"
          << "  },\n"
          << "  \"telemetry_overhead\": {\n"
          << "    \"requests_per_pass\": " << telemetry.requests << ",\n"
@@ -830,6 +837,13 @@ run_suite(const ArgParser& args, const char* argv0)
         std::fprintf(stderr,
                      "ERROR: mapped index seeded differently from the "
                      "in-memory build\n");
+        return 1;
+    }
+    if (reuse.index_bytes > kIndexBytesBar) {
+        std::fprintf(stderr,
+                     "ERROR: persisted index is %.1f MB, above the 8 MB "
+                     "bar\n",
+                     static_cast<double>(reuse.index_bytes) / 1e6);
         return 1;
     }
     if (reuse.speedup() < 5.0) {

@@ -102,12 +102,14 @@ class Engine {
         if (options_.index_cache != nullptr) {
             cache_ = options_.index_cache;
         } else {
-            // Run-local cache: capacity for every distinct target in the
-            // manifest (pairs_.size() is a safe upper bound). Metrics are
-            // published by the engine itself (batch.index.*), so the
-            // cache runs unmetered.
+            // Run-local cache: one entry per pair that can be in flight
+            // (the worker count), so a finished target's table is freed
+            // once newer targets push it out; a pair that needs it again
+            // rebuilds it in milliseconds. Metrics are published by the
+            // engine itself (batch.index.*), so the cache runs unmetered.
             owned_cache_ = std::make_unique<index::IndexCache>(
-                std::max<std::size_t>(jobs.size(), 1));
+                std::min(worker_count(), std::max<std::size_t>(jobs.size(),
+                                                               1)));
             cache_ = owned_cache_.get();
         }
         pairs_.reserve(jobs.size());
@@ -156,11 +158,7 @@ class Engine {
         for (std::size_t p = 0; p < jobs_.size(); ++p)
             enqueue(prepare_queue_, PrepareTask{p}, "prepare");
 
-        std::size_t num_workers = options_.num_threads;
-        if (num_workers == 0) {
-            num_workers = std::max<std::size_t>(
-                1, std::thread::hardware_concurrency());
-        }
+        const std::size_t num_workers = worker_count();
         std::vector<std::thread> workers;
         workers.reserve(num_workers);
         for (std::size_t w = 0; w < num_workers; ++w)
@@ -184,6 +182,16 @@ class Engine {
     }
 
   private:
+    /** Worker threads run() starts: num_threads, or one per hardware
+     *  thread when that is 0. */
+    std::size_t
+    worker_count() const
+    {
+        if (options_.num_threads != 0)
+            return options_.num_threads;
+        return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    }
+
     /** Register a task with its pair's inflight count, then push. The
      *  increment happens before the push so the pair can never settle
      *  (retry/quarantine) while this task is still queued. */
@@ -428,6 +436,11 @@ class Engine {
         if (status == fault::PairStatus::Clean ||
             status == fault::PairStatus::Degraded)
             pair.out.result = std::move(pair.result);
+        // No task of the pair runs any more: drop its borrow of the
+        // seed index (the cache decides whether the table stays) and
+        // its reverse complement.
+        pair.index.reset();
+        pair.query_rc = seq::Sequence{};
         if (status == fault::PairStatus::Interrupted) {
             pair.out.quarantine.pair_index = pair.pair_index;
             pair.out.quarantine.name = pair.job->name;
@@ -559,6 +572,8 @@ class Engine {
             &built);
         if (!built)
             metrics_.counter("batch.index.cache_hits").add(1);
+        metrics_.gauge("batch.index.cache_size")
+            .set(static_cast<std::int64_t>(cache_->size()));
 
         const std::size_t num_strands = params.align_both_strands ? 2 : 1;
         if (num_strands == 2)

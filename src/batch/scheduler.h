@@ -115,10 +115,12 @@ struct BatchOptions {
     /**
      * Optional shared seed-index cache. When set (e.g. by a daemon that
      * also serves one-shot queries), the engine acquires target indexes
-     * from it; when null, the engine uses a run-local cache sized to the
-     * manifest. Either way, pairs sharing a target (by sequence digest)
-     * build the index once — saved rebuilds surface as the
-     * "batch.index.cache_hits" counter.
+     * from it; when null, the engine uses a run-local cache with one
+     * entry per worker thread, so at most that many finished targets'
+     * tables stay resident. Either way, pairs sharing a target (by
+     * sequence digest) reuse a resident index instead of rebuilding it
+     * — saved rebuilds surface as the "batch.index.cache_hits" counter,
+     * the resident count as the "batch.index.cache_size" gauge.
      */
     index::IndexCache* index_cache = nullptr;
 

@@ -6,7 +6,6 @@
 #include <fstream>
 
 #include "fault/cancel.h"
-#include "index/format.h"
 #include "index/index_io.h"
 #include "seq/packed_io.h"
 #include "util/logging.h"
@@ -32,25 +31,13 @@ json_field(const std::string& line, const std::string& key)
     return line.substr(begin, end - begin);
 }
 
-/** Peek the format version from a `.dwi` header without validating. */
-std::uint32_t
-peek_index_version(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    IndexHeader header = {};
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-    if (in.gcount() != sizeof(header))
-        return 0;
-    return header.version;
-}
-
 void
 check_index(const std::string& path, std::vector<FsckFinding>* findings)
 {
     try {
-        if (peek_index_version(path) == kIndexShardedFormatVersion) {
-            // The constructor runs full validation: header geometry,
-            // directory partition, checksum trailer + digests.
+        if (read_index_info(path).num_shards > 0) {
+            // The constructor validates the header, table geometry and
+            // checksums; open_shard checks each table's structure.
             ShardedIndexReader reader(path);
             for (std::size_t s = 0; s < reader.num_shards(); ++s)
                 reader.open_shard(s);

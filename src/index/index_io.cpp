@@ -1,10 +1,12 @@
 #include "index/index_io.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -71,14 +73,18 @@ validate_header(const std::string& path, const std::uint8_t* bytes,
         bad_index(path, "not a darwin-wga index file (bad magic)");
     if (header.endian_tag != kIndexEndianTag)
         bad_index(path, "index was written with a different byte order");
-    if (header.version != kIndexFormatVersion &&
-        header.version != kIndexShardedFormatVersion)
+    if (header.version >= 1 && header.version <= kIndexLastDenseVersion)
+        bad_index(path,
+                  strprintf("dense version-%u index layout is no longer "
+                            "read (this build reads version %u); rebuild "
+                            "it with darwin-wga-index build",
+                            header.version, kIndexFormatVersion));
+    if (header.version != kIndexFormatVersion)
         bad_index(path,
                   strprintf("unsupported index format version %u "
-                            "(this build reads versions %u and %u; "
-                            "rebuild with darwin-wga-index)",
-                            header.version, kIndexFormatVersion,
-                            kIndexShardedFormatVersion));
+                            "(this build reads version %u; rebuild with "
+                            "darwin-wga-index)",
+                            header.version, kIndexFormatVersion));
     if (header.total_bytes != file_size)
         bad_index(path, strprintf("truncated or padded index file "
                                   "(header records %llu bytes, file has "
@@ -99,51 +105,17 @@ validate_header(const std::string& path, const std::uint8_t* bytes,
     }
     if (header.max_bucket == 0)
         bad_index(path, "max_bucket of zero");
-
-    const std::uint64_t offsets_bytes = (header.num_buckets + 1) * 4;
-    const std::uint64_t positions_bytes = header.num_positions * 4;
-    const std::uint64_t over_bytes = ((header.num_buckets + 63) / 64) * 8;
-    if (header.version == kIndexFormatVersion) {
-        // Monolithic layout. A version-1 writer left the shard fields
-        // (the old reserved tail) zeroed; anything else is corruption.
-        if (header.num_shards != 0 || header.shard_bp != 0 ||
-            header.shard_dir_offset != 0)
-            bad_index(path, "version-1 file carries shard fields");
-        // Section geometry: in order, aligned, inside the file. The
-        // file may end exactly at the last section (legacy) or carry a
-        // checksum area after it (validated by the full loaders; this
-        // function sees the header bytes only).
-        const std::uint64_t sections_end =
-            align_section(header.over_words_offset + over_bytes);
-        if (header.offsets_offset != sizeof(IndexHeader) ||
-            header.positions_offset !=
-                align_section(header.offsets_offset + offsets_bytes) ||
-            header.over_words_offset !=
-                align_section(header.positions_offset + positions_bytes) ||
-            (header.total_bytes != sections_end &&
-             header.total_bytes <
-                 sections_end + sizeof(ChecksumTrailer)))
-            bad_index(path, "section offsets disagree with section sizes");
-    } else {
-        // Sharded layout: global bitset, then the shard directory, then
-        // per-shard sections (validated as each shard is opened).
-        if (header.num_shards == 0)
-            bad_index(path, "sharded index with zero shards");
-        if (header.shard_bp == 0)
-            bad_index(path, "sharded index with zero shard-bp");
-        if (header.offsets_offset != 0 || header.positions_offset != 0)
-            bad_index(path, "sharded index carries monolithic sections");
-        const std::uint64_t dir_bytes =
-            static_cast<std::uint64_t>(header.num_shards) *
-            sizeof(ShardDirEntry);
-        if (header.over_words_offset !=
-                align_section(sizeof(IndexHeader)) ||
-            header.shard_dir_offset !=
-                align_section(header.over_words_offset + over_bytes) ||
-            header.shard_dir_offset + dir_bytes > header.total_bytes)
-            bad_index(path, "shard directory offsets disagree with "
-                            "section sizes");
-    }
+    if (header.num_tables == 0)
+        bad_index(path, "index with zero tables");
+    if (header.shard_bp == 0 && header.num_tables != 1)
+        bad_index(path, strprintf("monolithic index with %u tables",
+                                  header.num_tables));
+    if (header.table_dir_offset != sizeof(IndexHeader) ||
+        header.table_dir_offset +
+                static_cast<std::uint64_t>(header.num_tables) *
+                    sizeof(TableDirEntry) >
+            header.total_bytes)
+        bad_index(path, "table directory falls outside the file");
     return header;
 }
 
@@ -152,39 +124,6 @@ struct SectionSpan {
     const std::uint8_t* data;
     std::uint64_t bytes;
 };
-
-/**
- * Locate and validate the checksum trailer of a fully-mapped file.
- * Returns false when the file ends exactly at its sections (legacy —
- * no checksums to verify); fatal when a trailer area exists but is
- * malformed.
- */
-bool
-read_checksum_trailer(const std::string& path, const std::uint8_t* base,
-                      std::uint64_t file_size, std::uint64_t sections_end,
-                      ChecksumTrailer* trailer)
-{
-    if (file_size == sections_end)
-        return false;
-    if (file_size < sections_end + sizeof(ChecksumTrailer))
-        bad_index(path, "checksum area is smaller than its trailer");
-    std::memcpy(trailer, base + file_size - sizeof(ChecksumTrailer),
-                sizeof(*trailer));
-    if (std::memcmp(trailer->magic, kIndexChecksumMagic,
-                    sizeof(kIndexChecksumMagic)) != 0)
-        bad_index(path, "file tail is not a checksum trailer (corrupt "
-                        "or truncated checksum area)");
-    if (trailer->version != kIndexChecksumVersion)
-        bad_index(path, strprintf("unsupported checksum version %u",
-                                  trailer->version));
-    if (trailer->digests_offset < sections_end ||
-        trailer->digests_offset % kIndexSectionAlign != 0 ||
-        trailer->digests_offset +
-                static_cast<std::uint64_t>(trailer->num_digests) * 8 >
-            file_size - sizeof(ChecksumTrailer))
-        bad_index(path, "checksum digest array falls outside the file");
-    return true;
-}
 
 /** Verify header + per-section digests against the trailer; fatal on
  *  any mismatch (tagged "checksum mismatch"). */
@@ -213,28 +152,38 @@ verify_checksums(const std::string& path, const std::uint8_t* base,
     }
 }
 
-/** Append the digest array + trailer; returns the new end offset. */
-std::uint64_t
-write_checksum_area(std::ofstream& out, std::uint64_t sections_end,
-                    const std::vector<std::uint64_t>& digests,
-                    std::uint64_t header_digest)
+/** Byte offsets of one table's five sections, laid out from `start`. */
+struct TableLayout {
+    std::uint64_t offset[kIndexSectionsPerTable];
+    std::uint64_t bytes[kIndexSectionsPerTable];
+    std::uint64_t end;
+};
+
+TableLayout
+layout_table(std::uint64_t start, std::uint64_t num_keys,
+             unsigned directory_bits, std::uint64_t num_positions)
 {
-    ChecksumTrailer trailer = {};
-    std::memcpy(trailer.magic, kIndexChecksumMagic,
-                sizeof(kIndexChecksumMagic));
-    trailer.version = kIndexChecksumVersion;
-    trailer.num_digests = static_cast<std::uint32_t>(digests.size());
-    trailer.digests_offset = sections_end;
-    trailer.header_digest = header_digest;
-    out.write(reinterpret_cast<const char*>(digests.data()),
-              static_cast<std::streamsize>(digests.size() * 8));
-    const std::uint64_t array_end = sections_end + digests.size() * 8;
-    const std::uint64_t trailer_offset = align_section(array_end);
-    static const char zeros[kIndexSectionAlign] = {};
-    out.write(zeros,
-              static_cast<std::streamsize>(trailer_offset - array_end));
-    out.write(reinterpret_cast<const char*>(&trailer), sizeof(trailer));
-    return trailer_offset + sizeof(trailer);
+    TableLayout layout;
+    layout.bytes[0] = num_keys * 4;
+    layout.bytes[1] = ((std::uint64_t{1} << directory_bits) + 1) * 4;
+    layout.bytes[2] = (num_keys + 1) * 4;
+    layout.bytes[3] = num_positions * 4;
+    layout.bytes[4] = ((num_keys + 63) / 64) * 8;
+    std::uint64_t cursor = start;
+    for (std::uint32_t i = 0; i < kIndexSectionsPerTable; ++i) {
+        layout.offset[i] = align_section(cursor);
+        cursor = layout.offset[i] + layout.bytes[i];
+    }
+    layout.end = cursor;
+    return layout;
+}
+
+/** The recorded offsets of `entry`, in layout order. */
+std::array<std::uint64_t, kIndexSectionsPerTable>
+recorded_offsets(const TableDirEntry& entry)
+{
+    return {entry.keys_offset, entry.directory_offset, entry.offsets_offset,
+            entry.positions_offset, entry.over_words_offset};
 }
 
 /** The checksum-inclusive total size for a file whose sections end at
@@ -256,6 +205,146 @@ write_padding(std::ofstream& out, std::uint64_t current,
             std::min<std::uint64_t>(target - current, sizeof(zeros));
         out.write(zeros, static_cast<std::streamsize>(n));
         current += n;
+    }
+}
+
+std::uint64_t
+digest_of(const void* data, std::uint64_t bytes)
+{
+    return fnv1a64_bytes({static_cast<const std::uint8_t*>(data),
+                          static_cast<std::size_t>(bytes)});
+}
+
+/** Header fields shared by monolithic and sharded files. */
+IndexHeader
+make_header(const std::string& path, const seed::SeedPattern& pattern,
+            std::uint32_t max_bucket, std::uint64_t digest,
+            std::uint64_t length, std::uint64_t skipped,
+            std::uint64_t truncated, std::uint64_t shard_bp)
+{
+    const std::string& shape = pattern.pattern();
+    if (shape.size() > kIndexMaxPatternLength)
+        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
+                        "format's %u bp limit",
+                        path.c_str(), shape.size(), kIndexMaxPatternLength));
+    IndexHeader header = {};
+    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
+    header.version = kIndexFormatVersion;
+    header.endian_tag = kIndexEndianTag;
+    header.sequence_digest = digest;
+    header.sequence_length = length;
+    header.max_bucket = max_bucket;
+    header.pattern_length = static_cast<std::uint32_t>(shape.size());
+    std::memcpy(header.pattern, shape.data(), shape.size());
+    header.skipped_windows = skipped;
+    header.truncated_buckets = truncated;
+    header.shard_bp = shard_bp;
+    header.table_dir_offset = sizeof(IndexHeader);
+    return header;
+}
+
+/**
+ * Write a complete index file: header, table directory, then each
+ * table's five sections as `table_at(s)` produces them (one table
+ * resident at a time), the digest array and the trailer. Band fields
+ * come from `plan` (empty for a monolithic file). Atomic: tmp + rename.
+ */
+void
+write_index_file(
+    const std::string& path, IndexHeader header,
+    const std::vector<seed::ShardPlan>& plan, std::size_t num_tables,
+    const std::function<std::shared_ptr<const seed::SeedIndex>(std::size_t)>&
+        table_at)
+{
+    header.num_tables = static_cast<std::uint32_t>(num_tables);
+    std::vector<TableDirEntry> dir(num_tables, TableDirEntry{});
+    const std::uint64_t dir_bytes = dir.size() * sizeof(TableDirEntry);
+
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
+        if (!out)
+            fatal(strprintf("cannot write %s", tmp.c_str()));
+        const auto write_bytes = [&out](const void* data,
+                                        std::uint64_t bytes) {
+            out.write(static_cast<const char*>(data),
+                      static_cast<std::streamsize>(bytes));
+        };
+        // Header and directory go out as placeholders first (the table
+        // sizes are only known after each build) and are patched in
+        // place before the rename publishes the file.
+        write_bytes(&header, sizeof(header));
+        write_bytes(dir.data(), dir_bytes);
+
+        std::uint64_t cursor = header.table_dir_offset + dir_bytes;
+        std::vector<std::uint64_t> digests = {0};  // directory, patched
+        for (std::size_t s = 0; s < num_tables; ++s) {
+            const auto table = table_at(s);
+            const seed::SeedIndex::Sections& sections = table->sections();
+            TableDirEntry& entry = dir[s];
+            if (!plan.empty()) {
+                entry.band_lo = plan[s].band_lo;
+                entry.band_hi = plan[s].band_hi;
+                entry.slice_lo = plan[s].slice_lo;
+                entry.slice_hi = plan[s].slice_hi;
+            }
+            entry.num_keys = table->num_keys();
+            entry.num_positions = table->num_positions();
+            entry.directory_bits = table->directory_bits();
+            const TableLayout layout =
+                layout_table(cursor, entry.num_keys, entry.directory_bits,
+                             entry.num_positions);
+            entry.keys_offset = layout.offset[0];
+            entry.directory_offset = layout.offset[1];
+            entry.offsets_offset = layout.offset[2];
+            entry.positions_offset = layout.offset[3];
+            entry.over_words_offset = layout.offset[4];
+            const void* data[kIndexSectionsPerTable] = {
+                sections.keys.data(), sections.directory.data(),
+                sections.offsets.data(), sections.positions.data(),
+                sections.over_words.data()};
+            for (std::uint32_t i = 0; i < kIndexSectionsPerTable; ++i) {
+                write_padding(out, cursor, layout.offset[i]);
+                write_bytes(data[i], layout.bytes[i]);
+                digests.push_back(digest_of(data[i], layout.bytes[i]));
+                cursor = layout.offset[i] + layout.bytes[i];
+            }
+            header.num_keys += entry.num_keys;
+            header.num_positions += entry.num_positions;
+        }
+        const std::uint64_t sections_end = align_section(cursor);
+        write_padding(out, cursor, sections_end);
+
+        // The directory digest covers the final (patched) entries; the
+        // header digest covers the final header including total_bytes.
+        digests[0] = digest_of(dir.data(), dir_bytes);
+        header.total_bytes = checksummed_total(sections_end, digests.size());
+        ChecksumTrailer trailer = {};
+        std::memcpy(trailer.magic, kIndexChecksumMagic,
+                    sizeof(kIndexChecksumMagic));
+        trailer.version = kIndexChecksumVersion;
+        trailer.num_digests = static_cast<std::uint32_t>(digests.size());
+        trailer.digests_offset = sections_end;
+        trailer.header_digest = digest_of(&header, sizeof(header));
+        write_bytes(digests.data(), digests.size() * 8);
+        const std::uint64_t trailer_offset =
+            header.total_bytes - sizeof(ChecksumTrailer);
+        write_padding(out, sections_end + digests.size() * 8,
+                      trailer_offset);
+        write_bytes(&trailer, sizeof(trailer));
+
+        out.seekp(0);
+        write_bytes(&header, sizeof(header));
+        write_bytes(dir.data(), dir_bytes);
+        out.flush();
+        if (!out)
+            fatal(strprintf("error writing %s", tmp.c_str()));
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
+                        path.c_str(), ec.message().c_str()));
     }
 }
 
@@ -291,96 +380,14 @@ void
 save_index(const std::string& path, const seed::SeedIndex& index,
            std::uint64_t digest, std::uint64_t length)
 {
-    const std::string& pattern = index.pattern().pattern();
-    if (pattern.size() > kIndexMaxPatternLength)
-        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
-                        "format's %u bp limit",
-                        path.c_str(), pattern.size(),
-                        kIndexMaxPatternLength));
-
-    IndexHeader header = {};
-    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-    header.version = kIndexFormatVersion;
-    header.endian_tag = kIndexEndianTag;
-    header.sequence_digest = digest;
-    header.sequence_length = length;
-    header.max_bucket = index.max_bucket();
-    header.pattern_length = static_cast<std::uint32_t>(pattern.size());
-    std::memcpy(header.pattern, pattern.data(), pattern.size());
-    header.num_buckets = index.pattern().key_space();
-    header.num_positions = index.positions().size();
-    header.skipped_windows = index.skipped_windows();
-    header.truncated_buckets = index.truncated_buckets();
-    header.offsets_offset = sizeof(IndexHeader);
-    header.positions_offset = align_section(
-        header.offsets_offset + index.bucket_offsets().size_bytes());
-    header.over_words_offset = align_section(
-        header.positions_offset + index.positions().size_bytes());
-    const std::uint64_t sections_end = align_section(
-        header.over_words_offset + index.over_represented_words()
-                                       .size_bytes());
-
-    // Per-section digests, in layout order, plus the header digest —
-    // appended after the sections so legacy readers (which stop at
-    // sections_end) would still understand the geometry.
-    const std::vector<std::uint64_t> digests = {
-        fnv1a64_bytes({reinterpret_cast<const std::uint8_t*>(
-                           index.bucket_offsets().data()),
-                       index.bucket_offsets().size_bytes()}),
-        fnv1a64_bytes({reinterpret_cast<const std::uint8_t*>(
-                           index.positions().data()),
-                       index.positions().size_bytes()}),
-        fnv1a64_bytes({reinterpret_cast<const std::uint8_t*>(
-                           index.over_represented_words().data()),
-                       index.over_represented_words().size_bytes()}),
-    };
-    header.total_bytes = checksummed_total(sections_end, digests.size());
-    const std::uint64_t header_digest = fnv1a64_bytes(
-        {reinterpret_cast<const std::uint8_t*>(&header), sizeof(header)});
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            fatal(strprintf("cannot write %s", tmp.c_str()));
-        const auto write_bytes = [&out](const void* data,
-                                        std::uint64_t bytes) {
-            out.write(static_cast<const char*>(data),
-                      static_cast<std::streamsize>(bytes));
-        };
-        write_bytes(&header, sizeof(header));
-        write_bytes(index.bucket_offsets().data(),
-                    index.bucket_offsets().size_bytes());
-        write_padding(out,
-                      header.offsets_offset +
-                          index.bucket_offsets().size_bytes(),
-                      header.positions_offset);
-        write_bytes(index.positions().data(),
-                    index.positions().size_bytes());
-        write_padding(out,
-                      header.positions_offset +
-                          index.positions().size_bytes(),
-                      header.over_words_offset);
-        write_bytes(index.over_represented_words().data(),
-                    index.over_represented_words().size_bytes());
-        write_padding(out,
-                      header.over_words_offset +
-                          index.over_represented_words().size_bytes(),
-                      sections_end);
-        const std::uint64_t written =
-            write_checksum_area(out, sections_end, digests, header_digest);
-        require(written == header.total_bytes,
-                "index checksum area size mismatch");
-        out.flush();
-        if (!out)
-            fatal(strprintf("error writing %s", tmp.c_str()));
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
-                        path.c_str(), ec.message().c_str()));
-    }
+    const IndexHeader header = make_header(
+        path, index.pattern(), index.max_bucket(), digest, length,
+        index.skipped_windows(), index.truncated_buckets(), 0);
+    // Non-owning handle: the caller's index outlives the write.
+    const std::shared_ptr<const seed::SeedIndex> table(
+        std::shared_ptr<const seed::SeedIndex>{}, &index);
+    write_index_file(path, header, {}, 1,
+                     [&table](std::size_t) { return table; });
 }
 
 namespace {
@@ -423,13 +430,161 @@ fill_info(IndexInfo* info, const IndexHeader& header)
     info->sequence_length = header.sequence_length;
     info->max_bucket = header.max_bucket;
     info->pattern.assign(header.pattern, header.pattern_length);
-    info->num_buckets = header.num_buckets;
+    info->num_keys = header.num_keys;
     info->num_positions = header.num_positions;
     info->skipped_windows = header.skipped_windows;
     info->truncated_buckets = header.truncated_buckets;
     info->total_bytes = header.total_bytes;
     info->shard_bp = header.shard_bp;
-    info->num_shards = header.num_shards;
+    info->num_shards = header.shard_bp != 0 ? header.num_tables : 0;
+}
+
+seed::SeedPattern
+parse_pattern(const std::string& path, const std::string& shape)
+{
+    try {
+        return seed::SeedPattern{shape};
+    } catch (const FatalError& e) {
+        bad_index(path, strprintf("invalid seed shape: %s", e.what()));
+    }
+}
+
+/** A mapped index whose header, table geometry and checksums passed. */
+struct MappedIndex {
+    std::shared_ptr<Mapping> mapping;
+    IndexHeader header;
+    std::vector<TableDirEntry> tables;
+};
+
+/**
+ * Map `path` and validate everything short of the table structure
+ * (which attach_table checks per table): the header, each table's
+ * counts and section offsets against the layout they imply, band
+ * fields, and every digest in the mandatory checksum area.
+ */
+MappedIndex
+open_index_file(const std::string& path)
+{
+    MappedIndex mapped;
+    mapped.mapping = map_index_file(path);
+    const std::uint8_t* base = mapped.mapping->bytes();
+    const std::uint64_t file_size = mapped.mapping->size();
+    const IndexHeader header = validate_header(path, base, file_size);
+    mapped.header = header;
+    const seed::SeedPattern pattern = parse_pattern(
+        path, std::string(header.pattern, header.pattern_length));
+    const unsigned key_bits = static_cast<unsigned>(2 * pattern.weight());
+
+    const std::uint64_t dir_bytes =
+        static_cast<std::uint64_t>(header.num_tables) *
+        sizeof(TableDirEntry);
+    mapped.tables.resize(header.num_tables);
+    std::memcpy(mapped.tables.data(), base + header.table_dir_offset,
+                dir_bytes);
+
+    std::vector<SectionSpan> sections = {
+        {base + header.table_dir_offset, dir_bytes}};
+    std::uint64_t cursor = header.table_dir_offset + dir_bytes;
+    std::uint64_t total_keys = 0;
+    std::uint64_t total_positions = 0;
+    for (std::uint32_t s = 0; s < header.num_tables; ++s) {
+        const TableDirEntry& entry = mapped.tables[s];
+        // Bound the counts before any size is computed from them.
+        if (entry.num_keys > pattern.key_space() ||
+            entry.num_positions > header.sequence_length ||
+            entry.num_positions > header.total_bytes / 4 ||
+            entry.directory_bits > key_bits)
+            bad_index(path, strprintf("table %u: key, position or "
+                                      "directory counts out of range",
+                                      s));
+        const TableLayout layout =
+            layout_table(cursor, entry.num_keys, entry.directory_bits,
+                         entry.num_positions);
+        if (recorded_offsets(entry) != std::to_array(layout.offset) ||
+            layout.end > header.total_bytes)
+            bad_index(path, strprintf("table %u: section offsets disagree "
+                                      "with section sizes",
+                                      s));
+        if (header.shard_bp == 0) {
+            if (entry.band_lo != 0 || entry.band_hi != 0 ||
+                entry.slice_lo != 0 || entry.slice_hi != 0)
+                bad_index(path, "monolithic table carries band fields");
+        } else if (entry.band_lo >= entry.band_hi ||
+                   (s > 0 &&
+                    entry.band_lo != mapped.tables[s - 1].band_hi)) {
+            bad_index(path, strprintf("shard %u: band range is not a "
+                                      "partition",
+                                      s));
+        }
+        for (std::uint32_t i = 0; i < kIndexSectionsPerTable; ++i)
+            sections.push_back({base + layout.offset[i], layout.bytes[i]});
+        cursor = layout.end;
+        total_keys += entry.num_keys;
+        total_positions += entry.num_positions;
+    }
+    if (total_keys != header.num_keys ||
+        total_positions != header.num_positions)
+        bad_index(path, "table key/position counts disagree with the "
+                        "header");
+
+    // The checksum area is mandatory: its size follows from the
+    // sections, and every digest is verified before a single section
+    // byte is trusted, so a torn write or bit flip fails loudly here
+    // instead of corrupting alignments downstream.
+    const std::uint64_t sections_end = align_section(cursor);
+    if (header.total_bytes != checksummed_total(sections_end,
+                                                sections.size()))
+        bad_index(path, "checksum area is missing or the wrong size "
+                        "(truncated or corrupt index?)");
+    ChecksumTrailer trailer;
+    std::memcpy(&trailer, base + file_size - sizeof(ChecksumTrailer),
+                sizeof(trailer));
+    if (std::memcmp(trailer.magic, kIndexChecksumMagic,
+                    sizeof(kIndexChecksumMagic)) != 0)
+        bad_index(path, "file tail is not a checksum trailer (corrupt "
+                        "or truncated checksum area)");
+    if (trailer.version != kIndexChecksumVersion)
+        bad_index(path, strprintf("unsupported checksum version %u",
+                                  trailer.version));
+    if (trailer.digests_offset != sections_end)
+        bad_index(path, "checksum digest array is misplaced");
+    verify_checksums(path, base, sections, trailer);
+    return mapped;
+}
+
+/** Attach one table of a validated file; the table structure is checked
+ *  here (SeedIndex::attach) and a violation tagged with the path. */
+std::shared_ptr<const seed::SeedIndex>
+attach_table(const std::string& path, const std::uint8_t* base,
+             const IndexHeader& header, const TableDirEntry& entry,
+             const std::string& label, std::shared_ptr<const void> storage)
+{
+    const auto u32_section = [base](std::uint64_t offset,
+                                    std::uint64_t count) {
+        return std::span<const std::uint32_t>{
+            reinterpret_cast<const std::uint32_t*>(base + offset),
+            static_cast<std::size_t>(count)};
+    };
+    const seed::SeedIndex::Sections sections = {
+        u32_section(entry.keys_offset, entry.num_keys),
+        u32_section(entry.directory_offset,
+                    (std::uint64_t{1} << entry.directory_bits) + 1),
+        u32_section(entry.offsets_offset, entry.num_keys + 1),
+        u32_section(entry.positions_offset, entry.num_positions),
+        {reinterpret_cast<const std::uint64_t*>(base +
+                                                entry.over_words_offset),
+         static_cast<std::size_t>((entry.num_keys + 63) / 64)}};
+    seed::SeedPattern pattern = parse_pattern(
+        path, std::string(header.pattern, header.pattern_length));
+    try {
+        return std::make_shared<const seed::SeedIndex>(
+            seed::SeedIndex::attach(
+                std::move(pattern), header.max_bucket, entry.directory_bits,
+                sections, header.skipped_windows, header.truncated_buckets,
+                header.sequence_length, std::move(storage)));
+    } catch (const FatalError& e) {
+        bad_index(path, label + e.what());
+    }
 }
 
 }  // namespace
@@ -437,70 +592,14 @@ fill_info(IndexInfo* info, const IndexHeader& header)
 std::shared_ptr<const seed::SeedIndex>
 load_index(const std::string& path, IndexInfo* info)
 {
-    auto mapping = map_index_file(path);
-    const std::uint64_t file_size = mapping->size();
-
-    const IndexHeader header =
-        validate_header(path, mapping->bytes(), file_size);
-    if (header.version == kIndexShardedFormatVersion)
+    const MappedIndex mapped = open_index_file(path);
+    if (mapped.header.shard_bp != 0)
         bad_index(path, "sharded index; open with ShardedIndexReader "
                         "(or rebuild without --shard-bp)");
-
-    seed::SeedPattern pattern = [&] {
-        try {
-            return seed::SeedPattern{
-                std::string(header.pattern, header.pattern_length)};
-        } catch (const FatalError& e) {
-            bad_index(path, strprintf("invalid seed shape: %s", e.what()));
-        }
-    }();
-    if (pattern.key_space() != header.num_buckets)
-        bad_index(path, "bucket count disagrees with the seed shape");
-
-    const std::uint8_t* base = mapping->bytes();
-
-    // Verify the checksum area (absent only in legacy files) before a
-    // single section byte is trusted: a torn write or bit flip fails
-    // loudly here instead of corrupting alignments downstream.
-    const std::uint64_t offsets_bytes = (header.num_buckets + 1) * 4;
-    const std::uint64_t positions_bytes = header.num_positions * 4;
-    const std::uint64_t over_bytes = ((header.num_buckets + 63) / 64) * 8;
-    const std::uint64_t sections_end =
-        align_section(header.over_words_offset + over_bytes);
-    ChecksumTrailer trailer;
-    if (read_checksum_trailer(path, base, file_size, sections_end,
-                              &trailer)) {
-        verify_checksums(path, base,
-                         {{base + header.offsets_offset, offsets_bytes},
-                          {base + header.positions_offset,
-                           positions_bytes},
-                          {base + header.over_words_offset, over_bytes}},
-                         trailer);
-    }
-
-    const std::span<const std::uint32_t> offsets{
-        reinterpret_cast<const std::uint32_t*>(base +
-                                               header.offsets_offset),
-        static_cast<std::size_t>(header.num_buckets + 1)};
-    const std::span<const std::uint32_t> positions{
-        reinterpret_cast<const std::uint32_t*>(base +
-                                               header.positions_offset),
-        static_cast<std::size_t>(header.num_positions)};
-    const std::span<const std::uint64_t> over_words{
-        reinterpret_cast<const std::uint64_t*>(base +
-                                               header.over_words_offset),
-        static_cast<std::size_t>((header.num_buckets + 63) / 64)};
-    if (offsets.back() != header.num_positions)
-        bad_index(path, "final bucket offset disagrees with the "
-                        "position count");
-
+    auto index = attach_table(path, mapped.mapping->bytes(), mapped.header,
+                              mapped.tables[0], "", mapped.mapping);
     if (info != nullptr)
-        fill_info(info, header);
-
-    auto index = std::make_shared<seed::SeedIndex>(seed::SeedIndex::attach(
-        std::move(pattern), header.max_bucket, offsets, positions,
-        over_words, header.skipped_windows, header.truncated_buckets,
-        std::move(mapping)));
+        fill_info(info, mapped.header);
     return index;
 }
 
@@ -529,236 +628,44 @@ save_sharded_index(const std::string& path,
                    std::uint64_t shard_bp, std::uint64_t digest,
                    std::uint64_t length)
 {
-    const std::string& pattern = builder.pattern().pattern();
-    if (pattern.size() > kIndexMaxPatternLength)
-        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
-                        "format's %u bp limit",
-                        path.c_str(), pattern.size(),
-                        kIndexMaxPatternLength));
-    const std::uint64_t num_buckets = builder.pattern().key_space();
-    const auto over = builder.over_represented_words();
-    const std::uint64_t over_bytes = over.size_bytes();
-
-    IndexHeader header = {};
-    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-    header.version = kIndexShardedFormatVersion;
-    header.endian_tag = kIndexEndianTag;
-    header.sequence_digest = digest;
-    header.sequence_length = length;
-    header.max_bucket = builder.max_bucket();
-    header.pattern_length = static_cast<std::uint32_t>(pattern.size());
-    std::memcpy(header.pattern, pattern.data(), pattern.size());
-    header.num_buckets = num_buckets;
-    header.skipped_windows = builder.skipped_windows();
-    header.truncated_buckets = builder.truncated_buckets();
-    header.shard_bp = shard_bp;
-    header.num_shards =
-        static_cast<std::uint32_t>(builder.num_shards());
-    header.over_words_offset = align_section(sizeof(IndexHeader));
-    header.shard_dir_offset =
-        align_section(header.over_words_offset + over_bytes);
-
-    std::vector<ShardDirEntry> dir(builder.num_shards());
-    const std::uint64_t dir_bytes = dir.size() * sizeof(ShardDirEntry);
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            fatal(strprintf("cannot write %s", tmp.c_str()));
-        const auto write_bytes = [&out](const void* data,
-                                        std::uint64_t bytes) {
-            out.write(static_cast<const char*>(data),
-                      static_cast<std::streamsize>(bytes));
-        };
-        // Header and directory go out as placeholders first (the
-        // per-shard section sizes are only known after each build) and
-        // are patched in place before the rename publishes the file.
-        write_bytes(&header, sizeof(header));
-        write_padding(out, sizeof(header), header.over_words_offset);
-        write_bytes(over.data(), over_bytes);
-        write_padding(out, header.over_words_offset + over_bytes,
-                      header.shard_dir_offset);
-        write_bytes(dir.data(), dir_bytes);
-
-        // One shard's table resident at a time — the writer honors the
-        // same bound the sharded layout exists to provide.
-        std::uint64_t cursor = header.shard_dir_offset + dir_bytes;
-        std::uint64_t total_positions = 0;
-        std::vector<std::uint64_t> digests;
-        digests.push_back(fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(over.data()),
-             over_bytes}));
-        digests.push_back(0);  // directory digest, patched after the loop
-        for (std::size_t s = 0; s < builder.num_shards(); ++s) {
-            const seed::ShardPlan& plan = builder.plan()[s];
-            const auto shard = builder.build_shard(s);
-            dir[s].band_lo = plan.band_lo;
-            dir[s].band_hi = plan.band_hi;
-            dir[s].slice_lo = plan.slice_lo;
-            dir[s].slice_hi = plan.slice_hi;
-            dir[s].num_positions = shard->positions().size();
-            total_positions += dir[s].num_positions;
-
-            dir[s].offsets_offset = align_section(cursor);
-            write_padding(out, cursor, dir[s].offsets_offset);
-            write_bytes(shard->bucket_offsets().data(),
-                        shard->bucket_offsets().size_bytes());
-            digests.push_back(fnv1a64_bytes(
-                {reinterpret_cast<const std::uint8_t*>(
-                     shard->bucket_offsets().data()),
-                 shard->bucket_offsets().size_bytes()}));
-            cursor = dir[s].offsets_offset +
-                     shard->bucket_offsets().size_bytes();
-
-            dir[s].positions_offset = align_section(cursor);
-            write_padding(out, cursor, dir[s].positions_offset);
-            write_bytes(shard->positions().data(),
-                        shard->positions().size_bytes());
-            digests.push_back(fnv1a64_bytes(
-                {reinterpret_cast<const std::uint8_t*>(
-                     shard->positions().data()),
-                 shard->positions().size_bytes()}));
-            cursor = dir[s].positions_offset +
-                     shard->positions().size_bytes();
-        }
-        header.num_positions = total_positions;
-        const std::uint64_t sections_end = align_section(cursor);
-        write_padding(out, cursor, sections_end);
-        // The directory digest covers the final (patched) entries; the
-        // header digest covers the final header including total_bytes.
-        digests[1] = fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(dir.data()),
-             dir_bytes});
-        header.total_bytes = checksummed_total(sections_end,
-                                               digests.size());
-        const std::uint64_t header_digest = fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(&header),
-             sizeof(header)});
-        const std::uint64_t written = write_checksum_area(
-            out, sections_end, digests, header_digest);
-        require(written == header.total_bytes,
-                "index checksum area size mismatch");
-
-        out.seekp(0);
-        write_bytes(&header, sizeof(header));
-        out.seekp(static_cast<std::streamoff>(header.shard_dir_offset));
-        write_bytes(dir.data(), dir_bytes);
-        out.flush();
-        if (!out)
-            fatal(strprintf("error writing %s", tmp.c_str()));
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
-                        path.c_str(), ec.message().c_str()));
-    }
+    if (shard_bp == 0)
+        fatal(strprintf("%s: sharded index with zero shard-bp",
+                        path.c_str()));
+    const IndexHeader header = make_header(
+        path, builder.pattern(), builder.max_bucket(), digest, length,
+        builder.skipped_windows(), builder.truncated_buckets(), shard_bp);
+    // One shard's table resident at a time — the writer honors the
+    // same bound the sharded layout exists to provide.
+    write_index_file(path, header, builder.plan(), builder.num_shards(),
+                     [&builder](std::size_t s) {
+                         return builder.build_shard(s);
+                     });
 }
 
 ShardedIndexReader::ShardedIndexReader(const std::string& path)
     : path_(path)
 {
-    auto mapping = map_index_file(path);
-    base_ = mapping->bytes();
-    const std::uint64_t file_size = mapping->size();
-    mapping_ = std::move(mapping);
-
-    const IndexHeader header = validate_header(path, base_, file_size);
-    if (header.version != kIndexShardedFormatVersion)
+    MappedIndex mapped = open_index_file(path);
+    if (mapped.header.shard_bp == 0)
         bad_index(path, "monolithic index; open with load_index "
                         "(or rebuild with --shard-bp)");
-    fill_info(&info_, header);
-
-    over_words_ = {reinterpret_cast<const std::uint64_t*>(
-                       base_ + header.over_words_offset),
-                   static_cast<std::size_t>((header.num_buckets + 63) / 64)};
-
-    const std::uint64_t offsets_bytes = (header.num_buckets + 1) * 4;
-    std::uint64_t total_positions = 0;
-    plan_.resize(header.num_shards);
-    shard_offsets_.resize(header.num_shards);
-    shard_positions_.resize(header.num_shards);
-    shard_counts_.resize(header.num_shards);
-    for (std::uint32_t s = 0; s < header.num_shards; ++s) {
-        ShardDirEntry entry;
-        std::memcpy(&entry,
-                    base_ + header.shard_dir_offset +
-                        s * sizeof(ShardDirEntry),
-                    sizeof(entry));
-        if (entry.band_lo >= entry.band_hi ||
-            (s > 0 && entry.band_lo != plan_[s - 1].band_hi))
-            bad_index(path, strprintf("shard %u: band range is not a "
-                                      "partition", s));
-        if (entry.offsets_offset % kIndexSectionAlign != 0 ||
-            entry.positions_offset % kIndexSectionAlign != 0 ||
-            entry.offsets_offset + offsets_bytes > header.total_bytes ||
-            entry.positions_offset + entry.num_positions * 4 >
-                header.total_bytes)
-            bad_index(path, strprintf("shard %u: sections fall outside "
-                                      "the file", s));
-        plan_[s] = {entry.band_lo, entry.band_hi, entry.slice_lo,
-                    entry.slice_hi};
-        shard_offsets_[s] = entry.offsets_offset;
-        shard_positions_[s] = entry.positions_offset;
-        shard_counts_[s] = entry.num_positions;
-        total_positions += entry.num_positions;
-    }
-    if (total_positions != header.num_positions)
-        bad_index(path, "shard position counts disagree with the header");
-
-    // Verify the checksum area before any shard is handed out. The
-    // digest order mirrors save_sharded_index: over-words, directory,
-    // then (offsets, positions) per shard.
-    const std::uint64_t dir_bytes =
-        static_cast<std::uint64_t>(header.num_shards) *
-        sizeof(ShardDirEntry);
-    std::uint64_t sections_end = header.shard_dir_offset + dir_bytes;
-    std::vector<SectionSpan> sections;
-    sections.push_back({base_ + header.over_words_offset,
-                        ((header.num_buckets + 63) / 64) * 8});
-    sections.push_back({base_ + header.shard_dir_offset, dir_bytes});
-    for (std::uint32_t s = 0; s < header.num_shards; ++s) {
-        sections.push_back({base_ + shard_offsets_[s], offsets_bytes});
-        sections.push_back(
-            {base_ + shard_positions_[s], shard_counts_[s] * 4});
-        sections_end = std::max(
-            sections_end, shard_positions_[s] + shard_counts_[s] * 4);
-    }
-    sections_end = align_section(sections_end);
-    ChecksumTrailer trailer;
-    if (read_checksum_trailer(path, base_, file_size, sections_end,
-                              &trailer))
-        verify_checksums(path, base_, sections, trailer);
+    fill_info(&info_, mapped.header);
+    base_ = mapped.mapping->bytes();
+    mapping_ = std::move(mapped.mapping);
+    tables_ = std::move(mapped.tables);
+    plan_.reserve(tables_.size());
+    for (const TableDirEntry& entry : tables_)
+        plan_.push_back({entry.band_lo, entry.band_hi, entry.slice_lo,
+                         entry.slice_hi});
+    header_ = mapped.header;
 }
 
 std::shared_ptr<const seed::SeedIndex>
 ShardedIndexReader::open_shard(std::size_t s) const
 {
     require(s < plan_.size(), "ShardedIndexReader: shard out of range");
-    seed::SeedPattern pattern = [&] {
-        try {
-            return seed::SeedPattern{info_.pattern};
-        } catch (const FatalError& e) {
-            bad_index(path_,
-                      strprintf("invalid seed shape: %s", e.what()));
-        }
-    }();
-    const std::span<const std::uint32_t> offsets{
-        reinterpret_cast<const std::uint32_t*>(base_ + shard_offsets_[s]),
-        static_cast<std::size_t>(info_.num_buckets + 1)};
-    const std::span<const std::uint32_t> positions{
-        reinterpret_cast<const std::uint32_t*>(base_ +
-                                               shard_positions_[s]),
-        static_cast<std::size_t>(shard_counts_[s])};
-    if (offsets.back() != shard_counts_[s])
-        bad_index(path_, strprintf("shard %zu: final bucket offset "
-                                   "disagrees with the position count",
-                                   s));
-    return std::make_shared<seed::SeedIndex>(seed::SeedIndex::attach(
-        std::move(pattern), info_.max_bucket, offsets, positions,
-        over_words_, info_.skipped_windows, info_.truncated_buckets,
-        mapping_));
+    return attach_table(path_, base_, header_, tables_[s],
+                        strprintf("shard %zu: ", s), mapping_);
 }
 
 bool

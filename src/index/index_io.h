@@ -4,11 +4,12 @@
  * header inspection for `.dwi` files (format.h).
  *
  * save_index writes tmp + rename so readers never observe a partial
- * file. load_index mmaps the file read-only, validates the header and
+ * file. load_index mmaps the file read-only, validates the header,
  * section geometry (magic, endianness, version, truncation, seed
- * shape), and returns a SeedIndex attached to the mapping — the mapping
- * is unmapped when the last shared_ptr drops. Every validation failure
- * is a FatalError tagged with the file path and the offending field.
+ * shape), checksums and the table structure SeedIndex::attach checks,
+ * and returns a SeedIndex attached to the mapping — the mapping is
+ * unmapped when the last shared_ptr drops. Every validation failure is
+ * a FatalError tagged with the file path and the offending field.
  */
 #ifndef DARWIN_INDEX_INDEX_IO_H
 #define DARWIN_INDEX_INDEX_IO_H
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "index/format.h"
 #include "seed/seed_index.h"
 #include "seed/sharded_index.h"
 #include "seq/sequence.h"
@@ -31,12 +33,12 @@ struct IndexInfo {
     std::uint64_t sequence_length = 0;
     std::uint32_t max_bucket = 0;
     std::string pattern;
-    std::uint64_t num_buckets = 0;
-    std::uint64_t num_positions = 0;
+    std::uint64_t num_keys = 0;       ///< summed over tables
+    std::uint64_t num_positions = 0;  ///< summed over tables
     std::uint64_t skipped_windows = 0;
     std::uint64_t truncated_buckets = 0;
     std::uint64_t total_bytes = 0;
-    /** Sharded layout (version >= 2); zero for monolithic files. */
+    /** Sharded layout; zero for monolithic files. */
     std::uint64_t shard_bp = 0;
     std::uint32_t num_shards = 0;
 };
@@ -73,7 +75,7 @@ std::shared_ptr<const seed::SeedIndex> load_index(const std::string& path,
 IndexInfo read_index_info(const std::string& path);
 
 /**
- * Serialize a *sharded* index (format version 2): each shard's table is
+ * Serialize a *sharded* index (one table per shard): each shard's table is
  * built with `builder` and streamed to disk in turn, so peak memory is
  * one shard's table — the same bound the streaming pipeline honors at
  * seeding time. Atomic (tmp + rename) like save_index. `shard_bp` is
@@ -86,11 +88,12 @@ void save_sharded_index(const std::string& path,
                         std::uint64_t length);
 
 /**
- * Reader over a sharded (version-2) `.dwi`: maps the file once and
- * attaches one shard's SeedIndex at a time on demand. Pages of a
- * shard's table enter memory only while something holds the returned
- * index, so at most one shard's table need be resident. Fatal on a
- * monolithic file (use load_index for those).
+ * Reader over a sharded `.dwi`: maps the file once, validates the
+ * header, table directory and checksums, and attaches one shard's
+ * SeedIndex at a time on demand (checking that table's structure as it
+ * does). Pages of a shard's table enter memory only while something
+ * holds the returned index, so at most one shard's table need be
+ * resident. Fatal on a monolithic file (use load_index for those).
  */
 class ShardedIndexReader {
   public:
@@ -114,12 +117,10 @@ class ShardedIndexReader {
     std::string path_;
     std::shared_ptr<const void> mapping_;
     const std::uint8_t* base_ = nullptr;
+    IndexHeader header_ = {};
     IndexInfo info_;
     std::vector<seed::ShardPlan> plan_;
-    std::vector<std::uint64_t> shard_offsets_;   ///< per-shard file offsets
-    std::vector<std::uint64_t> shard_positions_; ///< per-shard file offsets
-    std::vector<std::uint64_t> shard_counts_;    ///< per-shard positions
-    std::span<const std::uint64_t> over_words_;
+    std::vector<TableDirEntry> tables_;
 };
 
 /** True when `path` exists and starts with the index magic — how tools

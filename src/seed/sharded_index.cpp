@@ -1,19 +1,11 @@
 #include "seed/sharded_index.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace darwin::seed {
-
-namespace {
-
-constexpr std::uint32_t kNoCutoff =
-    std::numeric_limits<std::uint32_t>::max();
-
-}  // namespace
 
 std::vector<ShardPlan>
 plan_shards(std::uint64_t target_length, std::uint64_t shard_bp,
@@ -49,41 +41,12 @@ ShardedSeedIndexBuilder::ShardedSeedIndexBuilder(
 {
     require(max_bucket_ > 0,
             "ShardedSeedIndexBuilder: max_bucket must be positive");
-    if (target.size() >= std::numeric_limits<std::uint32_t>::max())
-        fatal("ShardedSeedIndexBuilder: target longer than 2^32-1 is not "
-              "supported");
     plan_ = plan_shards(target.size(), shard_bp, chunk_size, bin_size);
-
-    // Global pass: per-bucket occurrence counts drive the truncation
-    // cutoffs. Streaming counters keep this O(key_space) regardless of
-    // target size.
-    const std::uint64_t buckets = pattern_.key_space();
-    std::vector<std::uint32_t> counts(buckets, 0);
-    cutoff_.assign(buckets, kNoCutoff);
-    const std::size_t last = target.size() >= pattern_.span()
-                                 ? target.size() - pattern_.span() + 1
-                                 : 0;
-    for (std::size_t pos = 0; pos < last; ++pos) {
-        const auto key = pattern_.key_at(target, pos);
-        if (!key) {
-            ++skipped_;
-            continue;
-        }
-        const std::uint64_t k = *key;
-        if (counts[k] == max_bucket_ && cutoff_[k] == kNoCutoff)
-            cutoff_[k] = static_cast<std::uint32_t>(pos);
-        if (counts[k] <= max_bucket_)
-            ++counts[k];
-    }
-
-    over_words_ =
-        std::make_shared<std::vector<std::uint64_t>>((buckets + 63) / 64, 0);
-    for (std::uint64_t k = 0; k < buckets; ++k) {
-        if (cutoff_[k] != kNoCutoff) {
-            (*over_words_)[k / 64] |= 1ULL << (k % 64);
-            ++truncated_;
-        }
-    }
+    // Global pass: the whole target's windows, sorted by key, yield the
+    // truncation cutoffs; the window list is dropped on return.
+    const auto windows =
+        sorted_seed_windows(target, pattern_, 0, target.size(), &skipped_);
+    truncated_ = truncated_keys(windows, max_bucket_);
 }
 
 std::shared_ptr<const SeedIndex>
@@ -91,67 +54,11 @@ ShardedSeedIndexBuilder::build_shard(std::size_t s) const
 {
     require(s < plan_.size(), "ShardedSeedIndexBuilder: bad shard index");
     const ShardPlan& shard = plan_[s];
-    const std::uint64_t buckets = pattern_.key_space();
-
-    const std::size_t last = target_.size() >= pattern_.span()
-                                 ? target_.size() - pattern_.span() + 1
-                                 : 0;
-    const std::size_t lo =
-        std::min<std::size_t>(shard.slice_lo, last);
-    const std::size_t hi = std::min<std::size_t>(shard.slice_hi, last);
-
-    /** Holder the attached SeedIndex keeps alive: the shard's own
-     *  sections plus a reference to the shared global bitset. */
-    struct ShardSections {
-        std::vector<std::uint32_t> offsets;
-        std::vector<std::uint32_t> positions;
-        std::shared_ptr<std::vector<std::uint64_t>> over_words;
-    };
-    auto sections = std::make_shared<ShardSections>();
-    sections->over_words = over_words_;
-
-    // Pass 1 over the slice: surviving-position counts per bucket.
-    std::vector<std::uint32_t> counts(buckets, 0);
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-        const auto key = pattern_.key_at(target_, pos);
-        if (!key)
-            continue;
-        if (static_cast<std::uint32_t>(pos) < cutoff_[*key])
-            ++counts[*key];
-    }
-
-    sections->offsets.assign(buckets + 1, 0);
-    std::uint64_t running = 0;
-    for (std::uint64_t k = 0; k < buckets; ++k) {
-        sections->offsets[k] = static_cast<std::uint32_t>(running);
-        running += counts[k];
-    }
-    sections->offsets[buckets] = static_cast<std::uint32_t>(running);
-
-    // Pass 2: fill positions, ascending within each bucket.
-    sections->positions.assign(running, 0);
-    std::vector<std::uint32_t> cursor(buckets, 0);
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-        const auto key = pattern_.key_at(target_, pos);
-        if (!key)
-            continue;
-        const std::uint64_t k = *key;
-        if (static_cast<std::uint32_t>(pos) >= cutoff_[k])
-            continue;
-        sections->positions[sections->offsets[k] + cursor[k]] =
-            static_cast<std::uint32_t>(pos);
-        ++cursor[k];
-    }
-
-    const std::span<const std::uint32_t> offsets{
-        sections->offsets.data(), sections->offsets.size()};
-    const std::span<const std::uint32_t> positions{
-        sections->positions.data(), sections->positions.size()};
-    const std::span<const std::uint64_t> over{
-        sections->over_words->data(), sections->over_words->size()};
-    return std::make_shared<const SeedIndex>(SeedIndex::attach(
-        pattern_, max_bucket_, offsets, positions, over, skipped_,
-        truncated_, std::move(sections)));
+    std::uint64_t slice_skipped = 0;  // the global count is reported
+    const auto windows = sorted_seed_windows(
+        target_, pattern_, shard.slice_lo, shard.slice_hi, &slice_skipped);
+    return std::make_shared<const SeedIndex>(pattern_, max_bucket_, windows,
+                                             truncated_, skipped_);
 }
 
 }  // namespace darwin::seed

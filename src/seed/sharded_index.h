@@ -2,12 +2,12 @@
  * @file
  * Target-chunked (sharded) seed indexing for bounded-memory seeding.
  *
- * A monolithic seed table over a 100 Mbp target holds ~10^8 positions
- * plus a key-space-sized offset array; holding several of them is what
- * breaks large-genome runs. Sharding cuts the *diagonal band space*
- * into contiguous ranges of `shard_bp` band-start basepairs, so the
- * pipeline can build (or load) one shard's table at a time, seed the
- * whole query against it, and release it before the next.
+ * A monolithic seed table over a 100 Mbp target holds ~10^8 positions;
+ * holding several of them is what breaks large-genome runs. Sharding
+ * cuts the *diagonal band space* into contiguous ranges of `shard_bp`
+ * band-start basepairs, so the pipeline can build (or load) one shard's
+ * table at a time, seed the whole query against it, and release it
+ * before the next.
  *
  * Correctness is exact, not approximate. D-SOFT assigns each raw hit
  * (t, q) of a query chunk to band floor((t + chunk_end - q) /
@@ -20,17 +20,23 @@
  *  1. Global truncation. Repeat buckets keep their first `max_bucket`
  *     positions *globally*. A per-slice cap would keep the first
  *     max_bucket positions *of the slice* — a different set. The
- *     builder therefore makes one global pass computing, per bucket,
- *     the cutoff position of the (max_bucket+1)-th occurrence; shard
- *     builds keep a position iff it falls below that cutoff, making
- *     every shard bucket exactly (global truncated bucket ∩ slice).
+ *     builder therefore makes one global pass (one key-sorted window
+ *     list over the whole target, dropped when the pass ends) and keeps
+ *     only the truncated keys with the position of each one's
+ *     (max_bucket+1)-th occurrence; shard builds keep a position iff it
+ *     falls below that cutoff, making every shard bucket exactly
+ *     (global truncated bucket ∩ slice).
  *  2. Order preservation. Bucket positions are ascending in both the
- *     monolithic and the shard build (counting-sort scan order), so a
- *     shard bucket is a subsequence of the global bucket and D-SOFT's
- *     first-hit-per-band selection sees the same first hit.
+ *     monolithic and the shard build (stable sort of windows taken in
+ *     target order), so a shard bucket is a subsequence of the global
+ *     bucket and D-SOFT's first-hit-per-band selection sees the same
+ *     first hit.
  *
- * Over-represented flags and skipped-window counts are global too, so
- * shard tables report the same telemetry the monolithic table would.
+ * Every shard table also carries every globally truncated key (with an
+ * empty bucket when none of its kept positions fall in the slice), so
+ * over_represented() answers as the monolithic table does. Skipped-
+ * window and truncated-bucket counts are global too, so shard tables
+ * report the same telemetry the monolithic table would.
  */
 #ifndef DARWIN_SEED_SHARDED_INDEX_H
 #define DARWIN_SEED_SHARDED_INDEX_H
@@ -67,11 +73,11 @@ std::vector<ShardPlan> plan_shards(std::uint64_t target_length,
 
 /**
  * Two-phase sharded index builder over a packed target: a global
- * counting pass at construction (bucket cutoffs, over-represented
- * flags, skipped windows), then per-shard table builds on demand.
- * Only the O(key_space) global artifacts stay resident between
- * build_shard calls; each shard table is owned by the returned
- * SeedIndex and freed when the caller drops it.
+ * truncation pass at construction (cutoffs of the truncated keys,
+ * skipped windows), then per-shard table builds on demand. Only the
+ * truncated keys stay resident between build_shard calls; each shard
+ * table is O(positions in its slice), owned by the returned SeedIndex
+ * and freed when the caller drops it.
  */
 class ShardedSeedIndexBuilder {
   public:
@@ -87,18 +93,10 @@ class ShardedSeedIndexBuilder {
 
     /** Global telemetry (identical to the monolithic build's). */
     std::uint64_t skipped_windows() const { return skipped_; }
-    std::uint64_t truncated_buckets() const { return truncated_; }
+    std::uint64_t truncated_buckets() const { return truncated_.size(); }
 
     const SeedPattern& pattern() const { return pattern_; }
     std::uint32_t max_bucket() const { return max_bucket_; }
-
-    /** Global over-represented bitset (one bit per bucket, LSB-first);
-     *  identical across shards and to the monolithic build's. */
-    std::span<const std::uint64_t>
-    over_represented_words() const
-    {
-        return {over_words_->data(), over_words_->size()};
-    }
 
     /**
      * Build shard `s`'s position table. Positions are global target
@@ -112,13 +110,10 @@ class ShardedSeedIndexBuilder {
     SeedPattern pattern_;
     std::uint32_t max_bucket_;
     std::vector<ShardPlan> plan_;
-    /** Per bucket: position of the (max_bucket+1)-th occurrence, or
-     *  UINT32_MAX when the bucket never overflows. A position survives
-     *  truncation iff it is strictly below the cutoff. */
-    std::vector<std::uint32_t> cutoff_;
-    std::shared_ptr<std::vector<std::uint64_t>> over_words_;
+    /** Keys whose global bucket overflows max_bucket, ascending, each
+     *  with the position of its (max_bucket+1)-th occurrence. */
+    std::vector<TruncatedKey> truncated_;
     std::uint64_t skipped_ = 0;
-    std::uint64_t truncated_ = 0;
 };
 
 }  // namespace darwin::seed

@@ -11,13 +11,10 @@
 
 namespace darwin::seq {
 
-namespace {
-
-/** Per byte: its encode_base code when is_iupac, else kNumCodes. The
- *  parse loop takes one lookup per base from this instead of two
- *  out-of-line calls, whose cost swung with code layout. */
+// One lookup per base in place of two out-of-line calls (is_iupac,
+// encode_base), whose cost swung with code layout.
 const std::array<std::uint8_t, 256>&
-iupac_codes()
+iupac_code_table()
 {
     static const std::array<std::uint8_t, 256> table = [] {
         std::array<std::uint8_t, 256> codes{};
@@ -30,7 +27,17 @@ iupac_codes()
     return table;
 }
 
-}  // namespace
+void
+reject_fasta_byte(const std::string& where, std::size_t line_no, char c)
+{
+    if (!std::isalpha(static_cast<unsigned char>(c))) {
+        fatal(strprintf("%s:%zu: invalid character '%c'", where.c_str(),
+                        line_no, c));
+    }
+    fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide code "
+                    "(corrupt or non-DNA file?)",
+                    where.c_str(), line_no, c));
+}
 
 std::vector<Sequence>
 read_fasta(std::istream& in, const std::string& source)
@@ -43,7 +50,6 @@ read_fasta(std::istream& in, const std::string& source)
     bool in_record = false;
     std::size_t line_no = 0;
     std::size_t header_line = 0;
-    const std::array<std::uint8_t, 256>& iupac = iupac_codes();
 
     auto flush = [&] {
         if (!in_record)
@@ -81,22 +87,9 @@ read_fasta(std::istream& in, const std::string& source)
             fatal(strprintf("%s:%zu: sequence data before first '>' header",
                             where.c_str(), line_no));
         }
-        for (char c : line) {
-            const std::uint8_t code = iupac[static_cast<unsigned char>(c)];
-            if (code < kNumCodes) {
-                codes.push_back(code);
-                continue;
-            }
-            if (std::isspace(static_cast<unsigned char>(c)))
-                continue;
-            if (!std::isalpha(static_cast<unsigned char>(c))) {
-                fatal(strprintf("%s:%zu: invalid character '%c'",
-                                where.c_str(), line_no, c));
-            }
-            fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide "
-                            "code (corrupt or non-DNA file?)",
-                            where.c_str(), line_no, c));
-        }
+        encode_fasta_line(line, where, line_no, [&codes](std::uint8_t code) {
+            codes.push_back(code);
+        });
     }
     if (in.bad()) {
         fatal(strprintf("%s:%zu: read error (truncated file?)",

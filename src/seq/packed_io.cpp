@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "seq/alphabet.h"
+#include "seq/fasta.h"
 #include "util/digest.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -166,21 +167,10 @@ parse_fasta_packed(const std::uint8_t* data, std::size_t size,
             fatal(strprintf("%s:%zu: sequence data before first '>' header",
                             where.c_str(), line_no));
         }
-        for (std::size_t i = 0; i < len; ++i) {
-            const char c = line[i];
-            if (std::isspace(static_cast<unsigned char>(c)))
-                continue;
-            if (!std::isalpha(static_cast<unsigned char>(c))) {
-                fatal(strprintf("%s:%zu: invalid character '%c'",
-                                where.c_str(), line_no, c));
-            }
-            if (!is_iupac(c)) {
-                fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide "
-                                "code (corrupt or non-DNA file?)",
-                                where.c_str(), line_no, c));
-            }
-            current.append_code(encode_base(c));
-        }
+        encode_fasta_line({line, len}, where, line_no,
+                          [&current](std::uint8_t code) {
+                              current.append_code(code);
+                          });
     }
     flush();
     if (genome.num_chromosomes() == 0)

@@ -4,6 +4,12 @@
  *
  * The filtering and extension stages process millions of independent tiles;
  * ThreadPool::parallel_for partitions such index ranges across workers.
+ *
+ * Concurrency is size() + 1, not size(): a thread waiting in
+ * parallel_for runs queued grains itself, so ThreadPool(1) runs two
+ * grains at once (the worker and the caller). Timings labelled "one
+ * thread" that go through a pool of one therefore measure two
+ * concurrent threads.
  */
 #ifndef DARWIN_UTIL_THREAD_POOL_H
 #define DARWIN_UTIL_THREAD_POOL_H
@@ -30,7 +36,7 @@ class ThreadPool {
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /** Number of worker threads. */
+    /** Number of worker threads (a parallel_for caller makes one more). */
     std::size_t size() const { return workers_.size(); }
 
     /**
@@ -50,7 +56,8 @@ class ThreadPool {
      *
      * While waiting, the calling thread helps execute queued tasks, so
      * parallel_for may be nested (an outer parallel_for body may invoke
-     * an inner one on the same pool) without deadlock. The first
+     * an inner one on the same pool) without deadlock — and up to
+     * size() + 1 threads run `body` at once. The first
      * exception thrown by `body` is rethrown on the calling thread after
      * the remaining grains finish.
      */

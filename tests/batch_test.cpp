@@ -347,6 +347,34 @@ shared_target_fixture()
     return fixture;
 }
 
+TEST(BatchEngine, RunLocalIndexCacheHoldsOnlyInFlightTargets)
+{
+    // Six distinct targets on two workers, then the first target again
+    // once newer targets have pushed it out: the run-local cache never
+    // holds more than one index per worker, and the rebuilt index
+    // aligns the repeated pair exactly as the serial pipeline does.
+    const auto& fixture = forward_fixture();
+    std::vector<BatchJob> jobs = fixture.jobs;
+    jobs.push_back({"repeat#0", fixture.jobs[0].target,
+                    fixture.jobs[0].query});
+    BatchOptions options;
+    options.params = wga::WgaParams::darwin_defaults();
+    options.num_threads = 2;
+    MetricsRegistry metrics;
+    BatchScheduler scheduler(options, &metrics);
+    const auto results = scheduler.run(jobs);
+
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < fixture.jobs.size(); ++i)
+        expect_identical(fixture.serial[i], results[i].result,
+                         fixture.jobs[i].name + " (2 workers)");
+    expect_identical(fixture.serial[0], results.back().result,
+                     "repeat#0 (2 workers)");
+    const auto& cache_size = metrics.gauge("batch.index.cache_size");
+    EXPECT_GE(cache_size.high_water(), 1);
+    EXPECT_LE(cache_size.high_water(), 2);
+}
+
 TEST(BatchEngine, SharedTargetBuildsIndexOnce)
 {
     // With one worker the pairs prepare sequentially, so the engine must

@@ -103,26 +103,23 @@ TEST(IndexIo, RoundTripPreservesEverySection)
     EXPECT_EQ(loaded->skipped_windows(), built.skipped_windows());
     EXPECT_EQ(loaded->truncated_buckets(), built.truncated_buckets());
 
-    const auto equal_u32 = [](std::span<const std::uint32_t> a,
-                              std::span<const std::uint32_t> b) {
+    EXPECT_EQ(loaded->directory_bits(), built.directory_bits());
+    const auto same = [](auto a, auto b) {
         return a.size() == b.size() &&
-               std::memcmp(a.data(), b.data(),
-                           a.size() * sizeof(std::uint32_t)) == 0;
+               std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
     };
-    EXPECT_TRUE(
-        equal_u32(loaded->bucket_offsets(), built.bucket_offsets()));
-    EXPECT_TRUE(equal_u32(loaded->positions(), built.positions()));
-    ASSERT_EQ(loaded->over_represented_words().size(),
-              built.over_represented_words().size());
-    EXPECT_EQ(std::memcmp(loaded->over_represented_words().data(),
-                          built.over_represented_words().data(),
-                          built.over_represented_words().size() *
-                              sizeof(std::uint64_t)),
-              0);
+    const auto& l = loaded->sections();
+    const auto& b = built.sections();
+    EXPECT_TRUE(same(l.keys, b.keys));
+    EXPECT_TRUE(same(l.directory, b.directory));
+    EXPECT_TRUE(same(l.offsets, b.offsets));
+    EXPECT_TRUE(same(l.positions, b.positions));
+    EXPECT_TRUE(same(l.over_words, b.over_words));
 
     EXPECT_EQ(info.sequence_digest, sequence_digest(sequence));
     EXPECT_EQ(info.sequence_length, sequence.size());
     EXPECT_EQ(info.num_positions, built.num_positions());
+    EXPECT_EQ(info.num_keys, built.num_keys());
     EXPECT_EQ(info.pattern, pattern.pattern());
     EXPECT_EQ(info.total_bytes, std::filesystem::file_size(path));
 }
@@ -220,7 +217,7 @@ TEST(IndexIo, RejectsWrongVersion)
         "good_ver.dwi", sequence, seed::SeedPattern("1111"));
     const std::string bad =
         corrupt_header(good, "bad_ver.dwi", [](IndexHeader& h) {
-            h.version = kIndexShardedFormatVersion + 1;
+            h.version = kIndexFormatVersion + 1;
         });
     expect_rejected(bad, "version");
 }
@@ -368,7 +365,7 @@ TEST(IndexCache, EvictionDoesNotInvalidateBorrowedIndex)
     EXPECT_FALSE(cache.contains(key_for(1)));
     // The evicted index must stay fully usable while borrowed.
     EXPECT_GT(borrowed->num_positions(), 0u);
-    EXPECT_GT(borrowed->bucket_offsets().size(), 0u);
+    EXPECT_GT(borrowed->num_keys(), 0u);
 }
 
 TEST(IndexCache, ConcurrentAcquireRunsBuilderOnce)

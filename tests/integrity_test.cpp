@@ -11,6 +11,7 @@
 
 
 #include <cstring>
+#include <functional>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -29,6 +30,7 @@
 #include "seq/packed_sequence.h"
 #include "seq/sequence.h"
 #include "synth/species.h"
+#include "util/digest.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -105,7 +107,8 @@ TEST(Checksums, FreshIndexCarriesATrailerAndLoads)
     EXPECT_EQ(std::memcmp(trailer.magic, kIndexChecksumMagic,
                           sizeof(kIndexChecksumMagic)),
               0);
-    EXPECT_EQ(trailer.num_digests, 3u);
+    // One digest for the table directory, five for the one table.
+    EXPECT_EQ(trailer.num_digests, 1u + kIndexSectionsPerTable);
 
     const auto index = load_index(path);
     EXPECT_GT(index->positions().size(), 0u);
@@ -120,11 +123,11 @@ TEST(Checksums, CorruptSectionByteIsRejected)
     // Flip one byte in the middle of the positions section; the header
     // still validates, so only the digest pass can catch this.
     const std::vector<char> bytes = slurp(path);
-    IndexHeader header;
-    std::memcpy(&header, bytes.data(), sizeof(header));
+    TableDirEntry table;
+    std::memcpy(&table, bytes.data() + sizeof(IndexHeader), sizeof(table));
     const std::string corrupt = flip_byte(
         path, "flip_section_corrupt.dwi",
-        header.positions_offset + (info.num_positions / 2) * 4);
+        table.positions_offset + (info.num_positions / 2) * 4);
     try {
         load_index(corrupt);
         FAIL() << "corrupt section must not load";
@@ -153,34 +156,257 @@ TEST(Checksums, CorruptHeaderByteIsRejected)
     }
 }
 
-TEST(Checksums, LegacyIndexWithoutTrailerStillLoads)
+// ---------------------------------------------------------------------
+// Untrusted table structure: files whose checksums are recomputed after
+// an edit, so only the structural checks stand between the bytes and a
+// lookup. Each must end in a tagged error from load_index and fsck.
+
+/** Recompute every digest and the header digest of a version-3 file
+ *  after its section bytes were edited. */
+void
+reseal(std::vector<char>& bytes)
 {
-    const auto sequence = random_sequence(4096, 14);
-    const std::string path = write_index("legacy_src.dwi", sequence);
-    const std::vector<char> with = slurp(path);
+    const auto* base = reinterpret_cast<const std::uint8_t*>(bytes.data());
     IndexHeader header;
-    std::memcpy(&header, with.data(), sizeof(header));
+    std::memcpy(&header, base, sizeof(header));
+    ChecksumTrailer trailer;
+    std::memcpy(&trailer, base + bytes.size() - sizeof(trailer),
+                sizeof(trailer));
+    std::vector<TableDirEntry> tables(header.num_tables);
+    std::memcpy(tables.data(), base + header.table_dir_offset,
+                tables.size() * sizeof(TableDirEntry));
+    std::vector<std::uint64_t> digests = {fnv1a64_bytes(
+        {base + header.table_dir_offset,
+         tables.size() * sizeof(TableDirEntry)})};
+    for (const TableDirEntry& t : tables) {
+        const std::uint64_t section[kIndexSectionsPerTable][2] = {
+            {t.keys_offset, t.num_keys * 4},
+            {t.directory_offset, ((1ULL << t.directory_bits) + 1) * 4},
+            {t.offsets_offset, (t.num_keys + 1) * 4},
+            {t.positions_offset, t.num_positions * 4},
+            {t.over_words_offset, ((t.num_keys + 63) / 64) * 8}};
+        for (const auto& [offset, size] : section)
+            digests.push_back(fnv1a64_bytes({base + offset, size}));
+    }
+    ASSERT_EQ(digests.size(), trailer.num_digests);
+    std::memcpy(bytes.data() + trailer.digests_offset, digests.data(),
+                digests.size() * 8);
+    trailer.header_digest = fnv1a64_bytes({base, sizeof(IndexHeader)});
+    std::memcpy(bytes.data() + bytes.size() - sizeof(trailer), &trailer,
+                sizeof(trailer));
+}
 
-    // Reconstruct the pre-checksum format: truncate the file at its
-    // sections' end and patch total_bytes back to that size.
-    const std::uint64_t over_bytes = ((header.num_buckets + 63) / 64) * 8;
-    const std::uint64_t sections_end =
-        align_section(header.over_words_offset + over_bytes);
-    std::vector<char> legacy(with.begin(),
-                             with.begin() +
-                                 static_cast<std::ptrdiff_t>(sections_end));
-    header.total_bytes = sections_end;
-    std::memcpy(legacy.data(), &header, sizeof(header));
-    const std::string legacy_path = temp_path("legacy.dwi");
-    spit(legacy_path, legacy);
+/** The first table's entry and a u32 view of one of its sections. */
+struct TableEdit {
+    std::vector<char> bytes;
+    TableDirEntry table;
 
-    // Loads cleanly (no checksums to verify), identical table.
-    const auto fresh = load_index(path);
-    const auto old = load_index(legacy_path);
-    ASSERT_EQ(old->positions().size(), fresh->positions().size());
-    EXPECT_TRUE(std::equal(old->positions().begin(),
-                           old->positions().end(),
-                           fresh->positions().begin()));
+    std::uint32_t*
+    u32_at(std::uint64_t offset)
+    {
+        return reinterpret_cast<std::uint32_t*>(bytes.data() + offset);
+    }
+};
+
+TableEdit
+open_for_edit(const std::string& path)
+{
+    TableEdit edit{slurp(path), {}};
+    std::memcpy(&edit.table, edit.bytes.data() + sizeof(IndexHeader),
+                sizeof(edit.table));
+    return edit;
+}
+
+/** Reseal `edit`, write it as `name`, and expect both load_index and
+ *  fsck to refuse it with `fragment` in the message. */
+void
+expect_structure_rejected(TableEdit& edit, const std::string& name,
+                          const std::string& fragment)
+{
+    reseal(edit.bytes);
+    const std::string path = temp_path(name);
+    spit(path, edit.bytes);
+    try {
+        load_index(path);
+        ADD_FAILURE() << name << ": load_index accepted the file";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+            << name << ": " << e.what();
+    }
+    const auto findings = fsck_file(path);
+    ASSERT_EQ(findings.size(), 1u) << name;
+    EXPECT_EQ(findings[0].code, "bad-index");
+    EXPECT_NE(findings[0].detail.find(fragment), std::string::npos)
+        << name << ": " << findings[0].detail;
+}
+
+/** First key index i whose successor sits under the same prefix. */
+std::uint32_t
+same_prefix_pair(TableEdit& edit, unsigned key_bits)
+{
+    const std::uint32_t* keys = edit.u32_at(edit.table.keys_offset);
+    const unsigned shift = key_bits - edit.table.directory_bits;
+    for (std::uint32_t i = 0; i + 1 < edit.table.num_keys; ++i) {
+        if ((keys[i] >> shift) == (keys[i + 1] >> shift))
+            return i;
+    }
+    ADD_FAILURE() << "no two keys share a directory prefix";
+    return 0;
+}
+
+TEST(IndexStructure, UntrustedTablesEndInTaggedErrors)
+{
+    const auto sequence = random_sequence(6000, 31);
+    const std::string path = write_index("structure.dwi", sequence);
+    const unsigned key_bits = static_cast<unsigned>(
+        2 * seed::SeedPattern(wga::WgaParams::darwin_defaults().seed_pattern)
+                .weight());
+    // A clean file passes both readers.
+    ASSERT_TRUE(fsck_file(path).empty());
+    {
+        TableEdit edit = open_for_edit(path);
+        const std::uint64_t entries =
+            (1ULL << edit.table.directory_bits) + 1;
+        std::uint32_t* dir = edit.u32_at(edit.table.directory_offset);
+        dir[entries / 2] = dir[entries / 2 + 1] + 1;
+        expect_structure_rejected(edit, "dir_not_monotone.dwi",
+                                  "directory is not monotone");
+    }
+    {
+        TableEdit edit = open_for_edit(path);
+        std::uint32_t* keys = edit.u32_at(edit.table.keys_offset);
+        const std::uint32_t i = same_prefix_pair(edit, key_bits);
+        std::swap(keys[i], keys[i + 1]);
+        expect_structure_rejected(edit, "keys_unsorted.dwi",
+                                  "not strictly ascending");
+    }
+    {
+        TableEdit edit = open_for_edit(path);
+        std::uint32_t* keys = edit.u32_at(edit.table.keys_offset);
+        const std::uint32_t i = same_prefix_pair(edit, key_bits);
+        keys[i + 1] = keys[i];
+        expect_structure_rejected(edit, "keys_duplicate.dwi",
+                                  "not strictly ascending");
+    }
+    {
+        TableEdit edit = open_for_edit(path);
+        std::uint32_t* keys = edit.u32_at(edit.table.keys_offset);
+        keys[edit.table.num_keys / 2] ^= 1u << (key_bits - 1);
+        expect_structure_rejected(edit, "key_wrong_prefix.dwi",
+                                  "wrong directory prefix");
+    }
+    {
+        TableEdit edit = open_for_edit(path);
+        std::uint32_t* offsets = edit.u32_at(edit.table.offsets_offset);
+        offsets[edit.table.num_keys] += 7;
+        expect_structure_rejected(edit, "offsets_past_end.dwi",
+                                  "position section's end");
+    }
+    {
+        TableEdit edit = open_for_edit(path);
+        std::uint32_t* offsets = edit.u32_at(edit.table.offsets_offset);
+        offsets[edit.table.num_keys / 2] =
+            static_cast<std::uint32_t>(edit.table.num_positions + 100);
+        expect_structure_rejected(edit, "offsets_overrun.dwi",
+                                  "offsets are not monotone");
+    }
+    {
+        TableEdit edit = open_for_edit(path);
+        std::uint32_t* positions = edit.u32_at(edit.table.positions_offset);
+        positions[0] = static_cast<std::uint32_t>(sequence.size());
+        expect_structure_rejected(edit, "position_past_target.dwi",
+                                  "past the");
+    }
+}
+
+TEST(IndexStructure, ShardedTableStructureIsCheckedPerShard)
+{
+    const auto sequence = random_sequence(20'000, 32);
+    const wga::WgaParams params = wga::WgaParams::darwin_defaults();
+    const std::string path = temp_path("structure_sharded.dwi");
+    const seq::PackedSequence packed = seq::PackedSequence::pack(sequence);
+    const seed::ShardedSeedIndexBuilder builder(
+        packed, seed::SeedPattern(params.seed_pattern), 256, 7'000,
+        params.dsoft.chunk_size, params.dsoft.bin_size);
+    save_sharded_index(path, builder, 7'000, sequence_digest(sequence),
+                       sequence.size());
+    ASSERT_TRUE(fsck_file(path).empty());
+
+    std::vector<char> bytes = slurp(path);
+    IndexHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    ASSERT_GT(header.num_tables, 1u);
+    TableDirEntry last;
+    const std::uint64_t entry_offset =
+        header.table_dir_offset +
+        (header.num_tables - 1) * sizeof(TableDirEntry);
+    std::memcpy(&last, bytes.data() + entry_offset, sizeof(last));
+    auto* dir = reinterpret_cast<std::uint32_t*>(bytes.data() +
+                                                 last.directory_offset);
+    dir[1] = dir[2] + 1;
+    reseal(bytes);
+    const std::string bad = temp_path("structure_sharded_bad.dwi");
+    spit(bad, bytes);
+
+    // The reader opens (header, geometry and digests hold); the broken
+    // shard is refused when attached, tagged with its number.
+    const ShardedIndexReader reader(bad);
+    EXPECT_NE(reader.open_shard(0), nullptr);
+    try {
+        reader.open_shard(header.num_tables - 1);
+        FAIL() << "broken shard attached";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("directory is not monotone"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("shard"), std::string::npos)
+            << e.what();
+    }
+    const auto findings = fsck_file(bad);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].code, "bad-index");
+}
+
+TEST(IndexStructure, DenseVersionOneAndTwoFilesAskForARebuild)
+{
+    // Versions 1 and 2 held a dense 4^weight offset table. Their header
+    // keeps magic, version and endian tag where version 3 has them, so
+    // a stamped version is all a reader sees before refusing.
+    const auto sequence = random_sequence(4096, 33);
+    const std::string path = write_index("dense_src.dwi", sequence);
+    for (const std::uint32_t version : {1u, 2u}) {
+        std::vector<char> bytes = slurp(path);
+        std::memcpy(bytes.data() + 8, &version, sizeof(version));
+        const std::string dense =
+            temp_path(strprintf("dense_v%u.dwi", version));
+        spit(dense, bytes);
+        for (const auto& read : {std::function<void()>([&] {
+                                     load_index(dense);
+                                 }),
+                                 std::function<void()>([&] {
+                                     read_index_info(dense);
+                                 })}) {
+            try {
+                read();
+                ADD_FAILURE() << "dense v" << version << " accepted";
+            } catch (const FatalError& e) {
+                EXPECT_NE(std::string(e.what()).find("rebuild"),
+                          std::string::npos)
+                    << e.what();
+                EXPECT_NE(std::string(e.what()).find(
+                              strprintf("version-%u", version)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        const auto findings = fsck_file(dense);
+        ASSERT_EQ(findings.size(), 1u);
+        EXPECT_EQ(findings[0].code, "bad-index");
+        EXPECT_NE(findings[0].detail.find("rebuild"), std::string::npos)
+            << findings[0].detail;
+    }
 }
 
 TEST(Checksums, ShardedIndexRoundTripsAndRejectsCorruption)
@@ -207,11 +433,18 @@ TEST(Checksums, ShardedIndexRoundTripsAndRejectsCorruption)
 
     // Corrupt one byte inside the last shard's positions and the
     // reader must refuse the whole file at construction.
-    const IndexInfo info = read_index_info(path);
+    const std::vector<char> bytes = slurp(path);
+    IndexHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    TableDirEntry last;
+    std::memcpy(&last,
+                bytes.data() + header.table_dir_offset +
+                    (header.num_tables - 1) * sizeof(TableDirEntry),
+                sizeof(last));
+    ASSERT_GT(last.num_positions, 0u);
     const std::string corrupt =
         flip_byte(path, "sharded_corrupt.dwi",
-                  static_cast<std::size_t>(info.total_bytes) -
-                      sizeof(ChecksumTrailer) - 128);
+                  last.positions_offset + (last.num_positions / 2) * 4);
     try {
         const ShardedIndexReader reader(corrupt);
         FAIL() << "corrupt sharded index must not open";

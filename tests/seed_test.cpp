@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <set>
 
 #include "seed/dsoft.h"
 #include "seed/seed_index.h"
 #include "seed/seed_pattern.h"
+#include "seed/sharded_index.h"
+#include "seq/packed_sequence.h"
 #include "seq/sequence.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -136,6 +140,246 @@ TEST(SeedIndex, SpacedPatternIndexesCorrectKey)
     const auto hits = index.lookup(key);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0], 0u);
+}
+
+// ---------------------------------------------------------------------
+// Compact layout: every lookup() and over_represented() answer equals a
+// naive std::map index built window by window.
+
+struct ReferenceIndex {
+    std::map<SeedKey, std::vector<std::uint32_t>> buckets;
+    std::set<SeedKey> over;
+};
+
+ReferenceIndex
+reference_index(const seq::Sequence& target, const SeedPattern& pattern,
+                std::uint32_t max_bucket)
+{
+    ReferenceIndex ref;
+    const std::span<const std::uint8_t> codes{target.codes().data(),
+                                              target.size()};
+    for (std::size_t pos = 0; pos + pattern.span() <= target.size();
+         ++pos) {
+        const auto key = pattern.key_at(codes, pos);
+        if (!key)
+            continue;
+        auto& bucket = ref.buckets[*key];
+        if (bucket.size() < max_bucket)
+            bucket.push_back(static_cast<std::uint32_t>(pos));
+        else
+            ref.over.insert(*key);
+    }
+    return ref;
+}
+
+void
+expect_matches_reference(const SeedIndex& index, const ReferenceIndex& ref,
+                         std::uint64_t seed)
+{
+    EXPECT_EQ(index.num_keys(), ref.buckets.size());
+    EXPECT_EQ(index.truncated_buckets(), ref.over.size());
+    std::size_t positions = 0;
+    for (const auto& [key, bucket] : ref.buckets) {
+        const auto got = index.lookup(key);
+        ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), bucket)
+            << "key " << key;
+        ASSERT_EQ(index.over_represented(key), ref.over.contains(key))
+            << "key " << key;
+        positions += bucket.size();
+    }
+    EXPECT_EQ(index.num_positions(), positions);
+    // Absent keys: empty bucket, never over-represented.
+    Rng rng(seed);
+    const std::uint64_t key_space = index.pattern().key_space();
+    for (int sample = 0; sample < 2'000; ++sample) {
+        const auto key = static_cast<SeedKey>(rng.uniform(key_space));
+        if (ref.buckets.contains(key))
+            continue;
+        ASSERT_TRUE(index.lookup(key).empty()) << "key " << key;
+        ASSERT_FALSE(index.over_represented(key)) << "key " << key;
+    }
+    // Boundary keys of the key space.
+    for (const SeedKey key : {SeedKey{0},
+                              static_cast<SeedKey>(key_space - 1)}) {
+        const auto it = ref.buckets.find(key);
+        EXPECT_EQ(index.lookup(key).size(),
+                  it == ref.buckets.end() ? 0u : it->second.size());
+    }
+}
+
+TEST(CompactIndex, MatchesNaiveReferenceOnARandomTarget)
+{
+    const SeedPattern pattern = SeedPattern::lastz_default();
+    const auto target = random_sequence(30'000, 101);
+    const SeedIndex index(target, pattern);
+    expect_matches_reference(index, reference_index(target, pattern, 256),
+                             7);
+    // Sized by occupied keys: b = bit_width(keys) < 2 * weight, and the
+    // sections are a small fraction of a 4^12-entry dense table.
+    EXPECT_EQ(index.directory_bits(),
+              static_cast<unsigned>(std::bit_width(index.num_keys())));
+    EXPECT_LT(index.directory_bits(), 24u);
+    EXPECT_EQ(index.sections().directory.size(),
+              (std::size_t{1} << index.directory_bits()) + 1);
+    const auto& sections = index.sections();
+    EXPECT_LT(sections.keys.size_bytes() + sections.directory.size_bytes() +
+                  sections.offsets.size_bytes() +
+                  sections.positions.size_bytes() +
+                  sections.over_words.size_bytes(),
+              1u << 20);
+}
+
+TEST(CompactIndex, MatchesNaiveReferenceOnARepetitiveTargetWithNs)
+{
+    // Tandem repeats overflow a small cap; runs of N skip windows.
+    std::string bases;
+    Rng rng(5);
+    const char* alphabet = "ACGT";
+    for (int block = 0; block < 40; ++block) {
+        for (int i = 0; i < 30; ++i)
+            bases += alphabet[rng.uniform(4)];
+        bases += block % 3 == 0 ? "NNNNN" : "ACGTTGCAACGTTGCA";
+    }
+    const seq::Sequence target("t", bases);
+    const SeedPattern pattern("1101011");
+    const SeedIndex index(target, pattern, /*max_bucket=*/4);
+    const ReferenceIndex ref = reference_index(target, pattern, 4);
+    EXPECT_GT(ref.over.size(), 0u);
+    EXPECT_GT(index.skipped_windows(), 0u);
+    expect_matches_reference(index, ref, 8);
+}
+
+TEST(CompactIndex, NoOccupiedKeys)
+{
+    const SeedPattern pattern("1111");
+    // All-N target: every window skipped; a target shorter than the
+    // span has no window at all.
+    for (const std::string bases : {"NNNNNNNN", "ACG", ""}) {
+        const seq::Sequence target("t", bases);
+        const SeedIndex index(target, pattern);
+        EXPECT_EQ(index.num_keys(), 0u) << bases;
+        EXPECT_EQ(index.num_positions(), 0u);
+        EXPECT_EQ(index.directory_bits(), 0u);
+        EXPECT_EQ(index.sections().directory.size(), 2u);
+        EXPECT_EQ(index.sections().offsets.size(), 1u);
+        EXPECT_TRUE(index.sections().over_words.empty());
+        for (SeedKey key = 0; key < pattern.key_space(); ++key) {
+            ASSERT_TRUE(index.lookup(key).empty());
+            ASSERT_FALSE(index.over_represented(key));
+        }
+    }
+    EXPECT_EQ(SeedIndex(seq::Sequence("t", "NNNNNNNN"), pattern)
+                  .skipped_windows(),
+              5u);
+}
+
+TEST(CompactIndex, OneOccupiedKey)
+{
+    const SeedPattern pattern("1111");
+    const seq::Sequence target("t", "AAAAAAA");
+    const SeedIndex index(target, pattern);
+    ASSERT_EQ(index.num_keys(), 1u);
+    EXPECT_EQ(index.directory_bits(), 1u);  // bit_width(1)
+    expect_matches_reference(index, reference_index(target, pattern, 256),
+                             9);
+    EXPECT_EQ(index.lookup(0).size(), 4u);
+}
+
+TEST(CompactIndex, FullOccupancyIsTheDenseTable)
+{
+    // Weight 2: 16 keys, all present in 2 kb of random bases, so the
+    // directory has 2 * weight bits and directory[k] == k.
+    const SeedPattern pattern("101");
+    const auto target = random_sequence(2'000, 11);
+    const SeedIndex index(target, pattern);
+    ASSERT_EQ(index.num_keys(), pattern.key_space());
+    EXPECT_EQ(index.directory_bits(), 2 * pattern.weight());
+    const auto directory = index.sections().directory;
+    for (std::size_t k = 0; k < directory.size(); ++k)
+        ASSERT_EQ(directory[k], k);
+    expect_matches_reference(index, reference_index(target, pattern, 256),
+                             10);
+}
+
+TEST(CompactIndex, BucketsAtAndOneOverTheCap)
+{
+    // Weight-1 seed: every base is its own window. A occurs exactly
+    // max_bucket times, C max_bucket + 1 times.
+    const SeedPattern pattern("1");
+    const seq::Sequence target("t", "AAAACCCCCGT");
+    const SeedIndex index(target, pattern, /*max_bucket=*/4);
+    const SeedKey a = seq::encode_base('A');
+    const SeedKey c = seq::encode_base('C');
+    EXPECT_EQ(index.lookup(a).size(), 4u);
+    EXPECT_FALSE(index.over_represented(a));
+    EXPECT_EQ(index.lookup(c).size(), 4u);
+    EXPECT_TRUE(index.over_represented(c));
+    EXPECT_EQ(index.lookup(c).front(), 4u);
+    EXPECT_EQ(index.lookup(c).back(), 7u);
+    EXPECT_EQ(index.truncated_buckets(), 1u);
+    expect_matches_reference(index, reference_index(target, pattern, 4),
+                             12);
+}
+
+TEST(CompactIndex, PackedBuildIsBitIdenticalToByteBuild)
+{
+    const SeedPattern pattern = SeedPattern::lastz_default();
+    auto target = random_sequence(8'000, 13);
+    for (std::size_t i = 3'000; i < 3'040; ++i)
+        target.codes()[i] = seq::BaseN;
+    const SeedIndex from_bytes(target, pattern);
+    const SeedIndex from_packed(seq::PackedSequence::pack(target), pattern);
+    const auto same = [](auto a, auto b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    const auto& x = from_bytes.sections();
+    const auto& y = from_packed.sections();
+    EXPECT_TRUE(same(x.keys, y.keys));
+    EXPECT_TRUE(same(x.directory, y.directory));
+    EXPECT_TRUE(same(x.offsets, y.offsets));
+    EXPECT_TRUE(same(x.positions, y.positions));
+    EXPECT_TRUE(same(x.over_words, y.over_words));
+    EXPECT_EQ(from_bytes.skipped_windows(), from_packed.skipped_windows());
+}
+
+TEST(CompactIndex, ShardsKeepGlobalTruncationFlags)
+{
+    // A repeat overflowing the cap early in the target: shards whose
+    // slice lies past the cutoff hold the key with an empty bucket and
+    // still report it over-represented, as the whole-target index does.
+    std::string bases(400, 'A');
+    Rng rng(21);
+    for (int i = 0; i < 1'600; ++i)
+        bases += "ACGT"[rng.uniform(4)];
+    bases += std::string(40, 'A');
+    const seq::Sequence target("t", bases);
+    const auto packed = seq::PackedSequence::pack(target);
+    const SeedPattern pattern("11011");
+    const SeedIndex mono(target, pattern, /*max_bucket=*/8);
+    const ShardedSeedIndexBuilder builder(packed, pattern, 8, 300, 64, 32);
+    ASSERT_GT(builder.num_shards(), 3u);
+    ASSERT_GT(mono.truncated_buckets(), 0u);
+    EXPECT_EQ(builder.truncated_buckets(), mono.truncated_buckets());
+    const SeedKey all_a = 0;
+    ASSERT_TRUE(mono.over_represented(all_a));
+    for (std::size_t s = 0; s < builder.num_shards(); ++s) {
+        const auto shard = builder.build_shard(s);
+        const auto& plan = builder.plan()[s];
+        for (SeedKey key = 0; key < pattern.key_space(); ++key) {
+            ASSERT_EQ(shard->over_represented(key),
+                      mono.over_represented(key))
+                << "shard " << s << " key " << key;
+            std::vector<std::uint32_t> expect;
+            for (const std::uint32_t position : mono.lookup(key)) {
+                if (position >= plan.slice_lo && position < plan.slice_hi)
+                    expect.push_back(position);
+            }
+            const auto got = shard->lookup(key);
+            ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                      expect)
+                << "shard " << s << " key " << key;
+        }
+    }
 }
 
 TEST(Dsoft, FindsPlantedMatchOncePerBand)

@@ -3,12 +3,13 @@
  * Tests for the bounded-memory dataflow: spill primitives
  * (wga/spill.h), the spill-or-backpressure channel
  * (wga/bounded_stream.h), sharded seed indexing (seed/sharded_index.h)
- * and its `.dwi` v2 persistence, and the streaming pipeline's
+ * and its sharded `.dwi` persistence, and the streaming pipeline's
  * bit-identity with the classic materialized run — including the batch
  * engine's streaming mode.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -193,32 +194,41 @@ TEST(ShardedSeeding, ShardTablesAreSlicesOfTheMonolithicIndex)
     EXPECT_EQ(builder.skipped_windows(), mono.skipped_windows());
     EXPECT_EQ(builder.truncated_buckets(), mono.truncated_buckets());
 
-    // Every monolithic position appears in every shard whose slice
-    // covers it, and shard buckets are subsequences of the monolithic
-    // bucket (same order, same truncation).
+    // Every shard bucket is the monolithic bucket cut to the shard's
+    // slice (same order, same truncation), every over-represented flag
+    // is global, and a shard holds no key the slice does not need.
+    const auto mono_keys = mono.sections().keys;
     for (std::size_t s = 0; s < builder.num_shards(); ++s) {
         const auto shard = builder.build_shard(s);
         const auto& plan = builder.plan()[s];
-        const auto mono_offsets = mono.bucket_offsets();
-        const auto shard_offsets = shard->bucket_offsets();
-        ASSERT_EQ(mono_offsets.size(), shard_offsets.size());
-        for (std::size_t b = 0; b + 1 < mono_offsets.size(); ++b) {
+        EXPECT_EQ(shard->skipped_windows(), mono.skipped_windows());
+        EXPECT_EQ(shard->truncated_buckets(), mono.truncated_buckets());
+        EXPECT_LE(shard->num_keys(),
+                  plan.slice_hi - plan.slice_lo + mono.truncated_buckets());
+        for (const seed::SeedKey key : mono_keys) {
             std::vector<std::uint32_t> expect;
-            for (std::uint32_t o = mono_offsets[b];
-                 o < mono_offsets[b + 1]; ++o) {
-                const std::uint32_t position = mono.positions()[o];
+            for (const std::uint32_t position : mono.lookup(key)) {
                 if (position >= plan.slice_lo && position < plan.slice_hi)
                     expect.push_back(position);
             }
-            const std::vector<std::uint32_t> got(
-                shard->positions().begin() + shard_offsets[b],
-                shard->positions().begin() + shard_offsets[b + 1]);
-            ASSERT_EQ(got, expect) << "shard " << s << " bucket " << b;
+            const auto bucket = shard->lookup(key);
+            const std::vector<std::uint32_t> got(bucket.begin(),
+                                                 bucket.end());
+            ASSERT_EQ(got, expect) << "shard " << s << " key " << key;
+            ASSERT_EQ(shard->over_represented(key),
+                      mono.over_represented(key))
+                << "shard " << s << " key " << key;
+        }
+        for (const seed::SeedKey key : shard->sections().keys) {
+            ASSERT_TRUE(std::binary_search(mono_keys.begin(),
+                                           mono_keys.end(), key))
+                << "shard " << s << " holds key " << key
+                << " the monolithic index lacks";
         }
     }
 }
 
-TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
+TEST(ShardedIndexIo, RoundTripsThroughDwiV3)
 {
     const auto pair = small_pair("dm6-droYak2", 12000);
     const seq::PackedSequence& target =
@@ -233,12 +243,12 @@ TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
     index::save_sharded_index(path, builder, 4000, 0x1234, target.size());
 
     const index::IndexInfo info = index::read_index_info(path);
-    EXPECT_EQ(info.version, index::kIndexShardedFormatVersion);
+    EXPECT_EQ(info.version, index::kIndexFormatVersion);
     EXPECT_EQ(info.shard_bp, 4000u);
     EXPECT_EQ(info.num_shards, builder.num_shards());
     EXPECT_EQ(info.sequence_digest, 0x1234u);
 
-    // The monolithic loader refuses v2 files with a pointed message.
+    // The monolithic loader refuses sharded files with a pointed message.
     try {
         (void)index::load_index(path);
         FAIL() << "load_index accepted a sharded file";
@@ -254,14 +264,17 @@ TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
         EXPECT_EQ(reader.plan()[s].band_hi, builder.plan()[s].band_hi);
         const auto loaded = reader.open_shard(s);
         const auto built = builder.build_shard(s);
-        ASSERT_EQ(loaded->num_positions(), built->num_positions());
-        for (std::size_t i = 0; i < built->positions().size(); ++i)
-            ASSERT_EQ(loaded->positions()[i], built->positions()[i]);
-        const auto lo = loaded->bucket_offsets();
-        const auto bo = built->bucket_offsets();
-        ASSERT_EQ(lo.size(), bo.size());
-        for (std::size_t i = 0; i < bo.size(); i += 97)
-            ASSERT_EQ(lo[i], bo[i]);
+        ASSERT_EQ(loaded->directory_bits(), built->directory_bits());
+        const auto same = [](auto a, auto b) {
+            return std::equal(a.begin(), a.end(), b.begin(), b.end());
+        };
+        const auto& l = loaded->sections();
+        const auto& b = built->sections();
+        EXPECT_TRUE(same(l.keys, b.keys)) << "shard " << s;
+        EXPECT_TRUE(same(l.directory, b.directory)) << "shard " << s;
+        EXPECT_TRUE(same(l.offsets, b.offsets)) << "shard " << s;
+        EXPECT_TRUE(same(l.positions, b.positions)) << "shard " << s;
+        EXPECT_TRUE(same(l.over_words, b.over_words)) << "shard " << s;
     }
     std::remove(path.c_str());
 }

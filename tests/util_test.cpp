@@ -306,6 +306,32 @@ TEST(ThreadPool, ParallelForPropagatesException)
     EXPECT_EQ(count.load(), 10);
 }
 
+TEST(ThreadPool, ParallelForRunsAtMostSizePlusOneThreads)
+{
+    // The caller runs grains while it waits, so a pool of N runs up to
+    // N + 1 bodies at once — never more. Sleeping grains make the
+    // overlap observable.
+    for (const std::size_t workers : {1u, 2u, 3u}) {
+        ThreadPool pool(workers);
+        std::atomic<int> running{0};
+        std::atomic<int> peak{0};
+        pool.parallel_for(
+            0, 24,
+            [&](std::size_t) {
+                const int now = running.fetch_add(1) + 1;
+                int seen = peak.load();
+                while (now > seen && !peak.compare_exchange_weak(seen, now))
+                    ;
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                running.fetch_sub(1);
+            },
+            1);
+        EXPECT_LE(peak.load(), static_cast<int>(pool.size() + 1))
+            << workers << " workers";
+        EXPECT_GE(peak.load(), 1);
+    }
+}
+
 TEST(ThreadPool, NestedParallelFor)
 {
     ThreadPool pool(4);

@@ -49,10 +49,10 @@ cmd_build(int argc, char** argv)
                     "repeat-seed truncation cap (must match the "
                     "aligner's; the default is what it uses)");
     args.add_option("shard-bp", "",
-                    "write a sharded (version-2) index: band-start bp "
-                    "owned per shard, e.g. 8388608. Shard slices use the "
-                    "preset's D-SOFT chunk/bin margins. Omit for the "
-                    "classic monolithic layout");
+                    "write a sharded index (one table per shard): "
+                    "band-start bp owned per shard, e.g. 8388608. Shard "
+                    "slices use the preset's D-SOFT chunk/bin margins. "
+                    "Omit for the monolithic layout (one table)");
     if (!args.parse(argc, argv))
         return 1;
     if (args.get("target").empty() || args.get("out").empty()) {
@@ -79,7 +79,7 @@ cmd_build(int argc, char** argv)
     const seed::SeedPattern pattern(pattern_text);
     double build_seconds = 0.0;
     if (!args.get("shard-bp").empty()) {
-        // Sharded build: one global counting pass, then each shard's
+        // Sharded build: one global truncation pass, then each shard's
         // table built and streamed to disk in turn (plan_shards rejects
         // a zero shard size with a tagged error).
         const auto shard_bp =
@@ -107,9 +107,10 @@ cmd_build(int argc, char** argv)
         std::printf("sharded layout: %u shard(s) of %s band-bp\n",
                     info.num_shards,
                     with_commas(info.shard_bp).c_str());
-    std::printf("seed shape %s (weight %zu), %s positions, "
+    std::printf("seed shape %s (weight %zu), %s keys, %s positions, "
                 "%s truncated buckets\n",
                 info.pattern.c_str(), pattern.weight(),
+                with_commas(info.num_keys).c_str(),
                 with_commas(info.num_positions).c_str(),
                 with_commas(info.truncated_buckets).c_str());
     std::printf("sequence digest %016llx   build %.2fs   write %.2fs\n",
@@ -131,13 +132,19 @@ cmd_info(int argc, char** argv)
         return 1;
     }
 
-    const index::IndexInfo info =
-        index::read_index_info(args.get("index"));
+    // Monolithic files are loaded (fully validated) for the directory
+    // width, which lives in the table directory, not the header.
+    const std::string& path = args.get("index");
+    index::IndexInfo info = index::read_index_info(path);
+    unsigned directory_bits = 0;
+    if (info.num_shards == 0)
+        directory_bits = index::load_index(path, &info)->directory_bits();
     if (args.get_flag("json")) {
         std::printf(
             "{\"version\": %u, \"sequence_digest\": \"%016llx\", "
             "\"sequence_length\": %llu, \"pattern\": %s, "
-            "\"max_bucket\": %u, \"num_buckets\": %llu, "
+            "\"max_bucket\": %u, \"num_keys\": %llu, "
+            "\"directory_bits\": %u, "
             "\"num_positions\": %llu, \"skipped_windows\": %llu, "
             "\"truncated_buckets\": %llu, \"total_bytes\": %llu, "
             "\"shard_bp\": %llu, \"num_shards\": %u}\n",
@@ -145,7 +152,7 @@ cmd_info(int argc, char** argv)
             static_cast<unsigned long long>(info.sequence_digest),
             static_cast<unsigned long long>(info.sequence_length),
             json_quote(info.pattern).c_str(), info.max_bucket,
-            static_cast<unsigned long long>(info.num_buckets),
+            static_cast<unsigned long long>(info.num_keys), directory_bits,
             static_cast<unsigned long long>(info.num_positions),
             static_cast<unsigned long long>(info.skipped_windows),
             static_cast<unsigned long long>(info.truncated_buckets),
@@ -161,8 +168,10 @@ cmd_info(int argc, char** argv)
                 with_commas(info.sequence_length).c_str());
     std::printf("seed shape:        %s\n", info.pattern.c_str());
     std::printf("max bucket:        %u\n", info.max_bucket);
-    std::printf("buckets:           %s\n",
-                with_commas(info.num_buckets).c_str());
+    std::printf("occupied keys:     %s\n",
+                with_commas(info.num_keys).c_str());
+    if (info.num_shards == 0)
+        std::printf("directory bits:    %u\n", directory_bits);
     std::printf("positions:         %s\n",
                 with_commas(info.num_positions).c_str());
     std::printf("skipped windows:   %s\n",
@@ -174,14 +183,18 @@ cmd_info(int argc, char** argv)
     if (info.num_shards > 0) {
         std::printf("shard layout:      %u shard(s), %s band-bp each\n",
                     info.num_shards, with_commas(info.shard_bp).c_str());
-        const index::ShardedIndexReader reader(args.get("index"));
+        const index::ShardedIndexReader reader(path);
         for (std::size_t s = 0; s < reader.num_shards(); ++s) {
             const auto& plan = reader.plan()[s];
-            std::printf("  shard %zu: bands [%s, %s) slice [%s, %s)\n",
+            const auto shard = reader.open_shard(s);
+            std::printf("  shard %zu: bands [%s, %s) slice [%s, %s), "
+                        "%s keys, %u directory bits\n",
                         s, with_commas(plan.band_lo).c_str(),
                         with_commas(plan.band_hi).c_str(),
                         with_commas(plan.slice_lo).c_str(),
-                        with_commas(plan.slice_hi).c_str());
+                        with_commas(plan.slice_hi).c_str(),
+                        with_commas(shard->num_keys()).c_str(),
+                        shard->directory_bits());
         }
     }
     return 0;
