@@ -18,8 +18,8 @@
  *   batch_throughput --threads 4 --size 60000
  *
  * --streaming switches the batch arm to the out-of-core dataflow
- * (2-bit packed genomes, sharded seeding, spill-or-backpressure hit
- * and candidate channels); --budget-heap M arms each pair's
+ * (2-bit packed genomes, sharded seeding, hit and candidate channels
+ * that spill to disk); --budget-heap M arms each pair's
  * CancelToken with an M-MiB heap budget, so the run *proves* the
  * bounded-residency claim — a budget overrun cancels the pair and the
  * identity check fails the bench. The serial arm stays the in-RAM

@@ -12,19 +12,16 @@
 #include <thread>
 #include <unordered_map>
 
-#include "align/gactx.h"
 #include "fault/fault_plan.h"
 #include "index/index_cache.h"
 #include "index/index_io.h"
 #include "obs/trace.h"
-#include "seed/dsoft.h"
 #include "seed/seed_index.h"
+#include "seed/sharded_index.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/timer.h"
 #include "util/work_queue.h"
-#include "wga/extend_stage.h"
-#include "wga/filter_stage.h"
 
 namespace darwin::batch {
 
@@ -47,11 +44,11 @@ struct PairState {
      *  degraded retry narrows. Stages reference it, so it only changes
      *  between attempts (when no task of the pair is running). */
     wga::WgaParams params;
-    std::span<const std::uint8_t> target_span;
-    seq::Sequence query_rc;  ///< owned reverse complement (both-strands)
     /** Borrowed from the engine's index cache; pairs sharing a target
      *  (same sequence digest) point at the same table. */
     std::shared_ptr<const seed::SeedIndex> index;
+    /** Streaming mode: builds the pair's shard tables one at a time. */
+    std::unique_ptr<seed::ShardedSeedIndexBuilder> shards;
     /** Per-strand alignments, concatenated forward-first at chain. */
     std::array<std::vector<align::Alignment>, 2> strand_alignments;
     std::atomic<std::size_t> strands_remaining{1};
@@ -377,16 +374,16 @@ class Engine {
                        pair.fail_stage.c_str()));
         pair.degraded = true;
         pair.params = apply_degrade(options_.params, options_.degrade);
-        // run_streaming rejects a per-chunk hit cap (defined over whole
-        // query chunks, which band sharding splits); the band and ydrop
-        // degrades still bound the retry's work.
+        // A per-chunk hit cap is defined over whole query chunks, which
+        // band sharding splits, so streaming retries drop it; the band
+        // and ydrop degrades still bound the retry's work.
         if (options_.streaming)
             pair.params.dsoft.max_hits_per_chunk = 0;
         // Reset everything the failed attempt touched. No other task of
         // this pair exists (inflight == 0), so plain writes are safe.
         pair.result = wga::WgaResult{};
-        pair.query_rc = seq::Sequence{};
         pair.index.reset();
+        pair.shards.reset();
         for (auto& alignments : pair.strand_alignments)
             alignments.clear();
         pair.failed.store(false, std::memory_order_release);
@@ -438,9 +435,9 @@ class Engine {
             pair.out.result = std::move(pair.result);
         // No task of the pair runs any more: drop its borrow of the
         // seed index (the cache decides whether the table stays) and
-        // its reverse complement.
+        // its shard builder.
         pair.index.reset();
-        pair.query_rc = seq::Sequence{};
+        pair.shards.reset();
         if (status == fault::PairStatus::Interrupted) {
             pair.out.quarantine.pair_index = pair.pair_index;
             pair.out.quarantine.name = pair.job->name;
@@ -512,72 +509,49 @@ class Engine {
         }
     }
 
-    /**
-     * Streaming mode runs the pair whole, here in the prepare stage:
-     * run_streaming is already an internally-overlapped dataflow
-     * (seeding producer / filtering consumer), so splitting it into
-     * strand tasks would only add materialization the mode exists to
-     * avoid. The engine still provides what the serial CLI cannot:
-     * pair-level concurrency across workers, per-pair budget tokens,
-     * degraded retries and quarantine — the prepare task's
-     * run_pair_task wrapper covers the entire run.
-     */
-    void
-    do_streaming_pair(const PrepareTask& task)
-    {
-        Timer timer;
-        obs::ScopedSpan span("streaming_pair", "batch");
-        span.arg("pair", static_cast<std::int64_t>(task.pair));
-        PairState& pair = *pairs_[task.pair];
-        const wga::WgaPipeline pipeline(pair.params,
-                                        options_.chain_params);
-        pair.result = pipeline.run_streaming(
-            *pair.job->target, *pair.job->query,
-            options_.streaming_params, nullptr, &metrics_);
-        metrics_.counter("batch.streaming.pairs").add(1);
-        metrics_.histogram("batch.streaming.seconds")
-            .observe(timer.seconds());
-        finalize_pair(pair, pair.degraded ? fault::PairStatus::Degraded
-                                          : fault::PairStatus::Clean);
-    }
-
     void
     do_prepare(const PrepareTask& task)
     {
-        if (options_.streaming) {
-            do_streaming_pair(task);
-            return;
-        }
         Timer timer;
         obs::ScopedSpan span("prepare", "batch");
         span.arg("pair", static_cast<std::int64_t>(task.pair));
         PairState& pair = *pairs_[task.pair];
         const wga::WgaParams& params = pair.params;
+        const seed::SeedPattern pattern(params.seed_pattern);
 
-        const seq::Sequence& target = pair.job->target->flattened();
-        pair.target_span = {target.codes().data(), target.size()};
-        // Acquire the target's index from the cache: the first pair of a
-        // target builds it, the rest (and the degraded retry, which
-        // leaves the seed shape untouched) reuse it.
-        const index::IndexKey key{target_digests_.at(pair.job->target),
-                                  params.seed_pattern,
-                                  seed::SeedIndex::kDefaultMaxBucket};
-        bool built = false;
-        pair.index = cache_->acquire(
-            key,
-            [&] {
-                return std::make_shared<const seed::SeedIndex>(
-                    target, seed::SeedPattern(params.seed_pattern));
-            },
-            &built);
-        if (!built)
-            metrics_.counter("batch.index.cache_hits").add(1);
-        metrics_.gauge("batch.index.cache_size")
-            .set(static_cast<std::int64_t>(cache_->size()));
+        if (options_.streaming) {
+            // Streaming pairs build their shard tables one at a time
+            // inside each strand task; the global truncation pass runs
+            // here, once per pair. The shared cache is bypassed: shard
+            // tables are transient by design.
+            pair.shards = std::make_unique<seed::ShardedSeedIndexBuilder>(
+                pair.job->target->flattened_packed(), pattern,
+                seed::SeedIndex::kDefaultMaxBucket,
+                options_.streaming_params.shard_bp, params.dsoft.chunk_size,
+                params.dsoft.bin_size);
+        } else {
+            // Acquire the target's index from the cache: the first pair
+            // of a target builds it, the rest (and the degraded retry,
+            // which leaves the seed shape untouched) reuse it.
+            const seq::Sequence& target = pair.job->target->flattened();
+            const index::IndexKey key{target_digests_.at(pair.job->target),
+                                      params.seed_pattern,
+                                      seed::SeedIndex::kDefaultMaxBucket};
+            bool built = false;
+            pair.index = cache_->acquire(
+                key,
+                [&] {
+                    return std::make_shared<const seed::SeedIndex>(target,
+                                                                   pattern);
+                },
+                &built);
+            if (!built)
+                metrics_.counter("batch.index.cache_hits").add(1);
+            metrics_.gauge("batch.index.cache_size")
+                .set(static_cast<std::int64_t>(cache_->size()));
+        }
 
         const std::size_t num_strands = params.align_both_strands ? 2 : 1;
-        if (num_strands == 2)
-            pair.query_rc = pair.job->query->flattened().reverse_complement();
         pair.strands_remaining.store(num_strands);
         {
             // Index construction is the serial pipeline's up-front
@@ -592,11 +566,13 @@ class Engine {
     }
 
     /**
-     * One strand of a pair: the serial pipeline's three stage calls
-     * (run_one_strand in wga/pipeline.cpp) back to back on this worker,
-     * so the strand's alignments are the serial ones by construction.
-     * Whichever strand task of the pair finishes last runs the chain
-     * step.
+     * One strand of a pair: wga::run_strand — the serial pipeline's
+     * strand driver — on this worker, so the strand's alignments are
+     * the serial ones by construction. In-RAM pairs read bytes through
+     * the cached index; streaming pairs read 2-bit storage through
+     * the pair's shard builder and spill. Stage workload goes out as
+     * batch.* through the driver. Whichever strand task of the pair
+     * finishes last runs the chain step.
      */
     void
     do_strand(const StrandTask& task, const char*& stage)
@@ -605,70 +581,28 @@ class Engine {
         span.arg("pair", static_cast<std::int64_t>(task.pair));
         span.arg("strand", static_cast<std::int64_t>(task.strand));
         PairState& pair = *pairs_[task.pair];
-        const wga::WgaParams& params = pair.params;
-        const seq::Sequence& query = task.strand == 0
-                                         ? pair.job->query->flattened()
-                                         : pair.query_rc;
-        const std::span<const std::uint8_t> query_span{query.codes().data(),
-                                                       query.size()};
+        const bool streaming = options_.streaming;
+        const auto bases = [streaming](const seq::Genome& genome) {
+            return streaming ? seq::BaseView(genome.flattened_packed())
+                             : seq::BaseView(genome.flattened());
+        };
+        wga::Dataflow flow;
+        flow.index = pair.index.get();
+        flow.shards = pair.shards.get();
+        if (streaming)
+            flow.overflow = wga::OverflowPolicy::Spill;
+        flow.capacities = options_.streaming_params;
+        flow.metrics = &metrics_;
+        flow.prefix = "batch";
         wga::PipelineStats local;
-
         // "seed" was entered (and batch.seed polled) by run_pair_task.
-        Timer timer;
-        const std::vector<seed::SeedHit> hits =
-            seed::DsoftSeeder(*pair.index, params.dsoft)
-                .seed_all(query, &local.seeding);
-        local.seed_seconds = timer.seconds();
-        metrics_.counter("batch.seed.tasks").add(1);
-        metrics_.counter("batch.seed.lookups").add(local.seeding.seed_lookups);
-        metrics_.counter("batch.seed.raw_hits").add(local.seeding.seed_hits);
-        metrics_.counter("batch.seed.hits").add(hits.size());
-        metrics_.histogram("batch.seed.seconds").observe(local.seed_seconds);
-
-        enter_stage(stage, "filter", "batch.filter");
-        timer.reset();
-        const std::vector<wga::FilterCandidate> candidates =
-            wga::FilterStage(params, pair.target_span, query_span)
-                .filter_all(hits, &local.filter);
-        local.filter_seconds = timer.seconds();
-        metrics_.counter("batch.filter.tasks").add(1);
-        metrics_.counter("batch.filter.hits_in").add(hits.size());
-        metrics_.counter("batch.filter.cells").add(local.filter.cells);
-        metrics_.counter("batch.filter.candidates").add(candidates.size());
-        metrics_.counter("batch.filter.dropped")
-            .add(hits.size() - candidates.size());
-        metrics_.histogram("batch.filter.seconds")
-            .observe(local.filter_seconds);
-
-        enter_stage(stage, "extend", "batch.extend");
-        timer.reset();
-        const align::GactXTileAligner aligner(params.gactx);
-        std::vector<align::Alignment>& alignments =
-            pair.strand_alignments[task.strand];
-        alignments = wga::ExtendStage(params, pair.target_span, query_span)
-                         .extend_all(candidates, aligner, &local.extend);
-        const align::Strand orientation = task.strand == 0
-                                              ? align::Strand::Forward
-                                              : align::Strand::Reverse;
-        for (align::Alignment& alignment : alignments)
-            alignment.query_strand = orientation;
-        local.extend_seconds = timer.seconds();
-        metrics_.counter("batch.extend.tasks").add(1);
-        metrics_.counter("batch.extend.anchors_in")
-            .add(local.extend.anchors_in);
-        metrics_.counter("batch.extend.absorbed").add(local.extend.absorbed);
-        metrics_.counter("batch.extend.extended").add(local.extend.extended);
-        metrics_.counter("batch.extend.duplicates")
-            .add(local.extend.duplicates);
-        metrics_.counter("batch.extend.tiles")
-            .add(local.extend.extension.tiles);
-        metrics_.counter("batch.extend.xdrop_terminations")
-            .add(local.extend.extension.xdrop_terminations);
-        metrics_.counter("batch.extend.matched_bases")
-            .add(local.extend.matched_bases);
-        metrics_.counter("batch.alignments").add(alignments.size());
-        metrics_.histogram("batch.extend.seconds")
-            .observe(local.extend_seconds);
+        pair.strand_alignments[task.strand] = wga::run_strand(
+            pair.params, flow, bases(*pair.job->target),
+            bases(*pair.job->query),
+            task.strand == 0 ? align::Strand::Forward
+                             : align::Strand::Reverse,
+            &local, &stage);
+        metrics_.counter("batch.strand.tasks").add(1);
         {
             std::lock_guard<std::mutex> lock(pair.stats_mutex);
             pair.result.stats.merge(local);
@@ -704,6 +638,8 @@ class Engine {
         metrics_.counter("batch.chain.tasks").add(1);
         metrics_.counter("batch.chains").add(pair.result.chains.size());
         metrics_.histogram("batch.chain.seconds").observe(timer.seconds());
+        if (options_.streaming)
+            wga::publish_heap_gauges(metrics_, pair.result.stats);
 
         finalize_pair(pair, pair.degraded ? fault::PairStatus::Degraded
                                           : fault::PairStatus::Clean);

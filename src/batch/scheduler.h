@@ -4,19 +4,19 @@
  * seed -> filter -> extend -> chain by one pool of workers.
  *
  * Each pair runs as a `prepare` task (acquire the target's seed index
- * from the shared cache, build the reverse complement, arm the budget)
- * followed by one `strand` task per query strand. A strand task calls
- * the serial pipeline's stage functions back to back — seed_all,
- * filter_all, extend_all — and whichever strand task of the pair
- * finishes last chains the pair inline. Workers take strand tasks
+ * from the shared cache, or plan its shards in streaming mode; arm the
+ * budget) followed by one `strand` task per query strand. A strand
+ * task runs the serial pipeline's strand driver, wga::run_strand, and
+ * whichever strand task of the pair finishes last chains the pair
+ * inline. Workers take strand tasks
  * before prepare tasks, so started pairs finish before new ones begin;
  * the forward and reverse strands of a pair can run on two workers at
  * once.
  *
  * Determinism: results are bit-identical to running each pair through
- * the serial WgaPipeline, because each strand runs the very stage calls
- * WgaPipeline::run does (without a pool, which the stages' results do
- * not depend on), and the chain step concatenates forward alignments
+ * the serial WgaPipeline, because each strand runs the very driver
+ * WgaPipeline::run does (without a pool, which its results do not
+ * depend on), and the chain step concatenates forward alignments
  * before reverse ones as the serial pipeline does.
  *
  * Fault tolerance (see DESIGN.md "Fault tolerance & degradation"):
@@ -94,20 +94,21 @@ struct BatchOptions {
     DegradePolicy degrade;
 
     /**
-     * Bounded-memory mode: run each pair whole through
+     * Bounded-memory mode: strand tasks run the configuration of
      * WgaPipeline::run_streaming — 2-bit packed storage, the seed
      * table built one band shard at a time, hits and candidates
-     * through spill-or-backpressure channels — instead of the byte
-     * strand tasks above. Results stay bit-identical (both modes
-     * reproduce the serial pipeline exactly); what changes is the
-     * residency envelope: no whole-target seed table and no
-     * materialized hit or candidate vectors, so the per-pair
-     * footprint is bounded by `streaming_params` regardless of genome
-     * size. Pair isolation, budgets, degraded retries and quarantine
-     * work unchanged. The shared index cache is bypassed — shard
-     * tables are transient by design. Requires gapped filter params
-     * and dsoft.max_hits_per_chunk == 0 (run_streaming's contract;
-     * FatalError otherwise).
+     * through channels that spill to disk past `streaming_params` —
+     * instead of byte storage with a cached index. Results stay
+     * bit-identical (both modes reproduce the serial pipeline
+     * exactly); what changes is the residency envelope: no
+     * whole-target seed table, so the per-strand footprint is bounded
+     * by `streaming_params` regardless of genome size, and each
+     * finished pair sets the wga.heap.* gauges. Pair isolation,
+     * budgets, degraded retries and quarantine work unchanged. The
+     * shared index cache is bypassed — shard tables are transient by
+     * design. Requires gapped filter params, and
+     * dsoft.max_hits_per_chunk == 0 when the target spans more than
+     * one shard (FatalError otherwise).
      */
     bool streaming = false;
     wga::StreamingParams streaming_params;

@@ -351,27 +351,21 @@ write_index_file(
 }  // namespace
 
 std::uint64_t
-sequence_digest(const seq::Sequence& sequence)
-{
-    return fnv1a64_bytes({sequence.codes().data(), sequence.size()});
-}
-
-std::uint64_t
-sequence_digest(const seq::PackedSequence& sequence)
+sequence_digest(seq::BaseView sequence)
 {
     // FNV-1a chains: digesting window-by-window with the running hash
     // as the next seed equals one pass over the concatenated bytes, so
-    // this matches the byte overload bit-for-bit.
+    // packed storage (decoded one window at a time) digests exactly as
+    // bytes do.
     constexpr std::size_t kWindow = 1u << 20;
-    std::vector<std::uint8_t> window(
-        std::min<std::size_t>(kWindow, sequence.size()));
+    std::vector<std::uint8_t> scratch;
     std::uint64_t hash = kFnv1aBasis;
     for (std::size_t start = 0; start < sequence.size();
          start += kWindow) {
         const std::size_t len =
             std::min(kWindow, sequence.size() - start);
-        sequence.decode(start, len, window.data());
-        hash = fnv1a64_bytes({window.data(), len}, hash);
+        hash = fnv1a64_bytes(sequence.materialize(start, len, &scratch),
+                             hash);
     }
     return hash;
 }

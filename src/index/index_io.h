@@ -44,14 +44,11 @@ struct IndexInfo {
 };
 
 /** FNV-1a digest of a sequence's base codes — the identity an index
- *  header records and the cache keys on. */
-std::uint64_t sequence_digest(const seq::Sequence& sequence);
-
-/** Same digest computed from 2-bit storage, decoding one fixed-size
- *  window at a time (never the whole sequence). Equal to the byte
- *  overload on equal bases, so a packed server keys the same cache
- *  entries a byte server would. */
-std::uint64_t sequence_digest(const seq::PackedSequence& sequence);
+ *  header records and the cache keys on. 2-bit storage is decoded one
+ *  fixed-size window at a time (never whole) and digests as its bytes
+ *  do, so a packed server keys the same cache entries a byte server
+ *  would. */
+std::uint64_t sequence_digest(seq::BaseView sequence);
 
 /**
  * Serialize `index` to `path` atomically (same-directory tmp + rename).

@@ -196,13 +196,24 @@ DsoftSeeder::seed_chunk_impl(const Source& query, std::size_t chunk_begin,
     return out;
 }
 
-template <class Source>
 std::vector<SeedHit>
-DsoftSeeder::seed_all_impl(const Source& query, std::size_t query_size,
-                           SeedingStats* stats, ThreadPool* pool) const
+DsoftSeeder::seed_chunk(seq::BaseView query, std::size_t chunk_begin,
+                        std::size_t chunk_end, SeedingStats* stats,
+                        bool charge_heap) const
+{
+    if (const seq::PackedSequence* packed = query.packed_sequence())
+        return seed_chunk_impl(*packed, chunk_begin, chunk_end, stats,
+                               charge_heap);
+    return seed_chunk_impl(query.bytes(), chunk_begin, chunk_end, stats,
+                           charge_heap);
+}
+
+std::vector<SeedHit>
+DsoftSeeder::seed_all(seq::BaseView query, SeedingStats* stats,
+                      ThreadPool* pool) const
 {
     const std::size_t num_chunks =
-        (query_size + params_.chunk_size - 1) / params_.chunk_size;
+        (query.size() + params_.chunk_size - 1) / params_.chunk_size;
 
     std::vector<std::vector<SeedHit>> per_chunk(num_chunks);
     std::vector<SeedingStats> per_chunk_stats(num_chunks);
@@ -210,9 +221,9 @@ DsoftSeeder::seed_all_impl(const Source& query, std::size_t query_size,
     auto do_chunk = [&](std::size_t chunk) {
         const std::size_t begin = chunk * params_.chunk_size;
         const std::size_t end =
-            std::min(query_size, begin + params_.chunk_size);
+            std::min(query.size(), begin + params_.chunk_size);
         per_chunk[chunk] =
-            seed_chunk_impl(query, begin, end, &per_chunk_stats[chunk]);
+            seed_chunk(query, begin, end, &per_chunk_stats[chunk]);
     };
 
     if (pool) {
@@ -235,40 +246,6 @@ DsoftSeeder::seed_all_impl(const Source& query, std::size_t query_size,
             stats->merge(s);
     }
     return out;
-}
-
-std::vector<SeedHit>
-DsoftSeeder::seed_chunk(std::span<const std::uint8_t> query,
-                        std::size_t chunk_begin, std::size_t chunk_end,
-                        SeedingStats* stats, bool charge_heap) const
-{
-    return seed_chunk_impl(query, chunk_begin, chunk_end, stats,
-                           charge_heap);
-}
-
-std::vector<SeedHit>
-DsoftSeeder::seed_chunk(const seq::PackedSequence& query,
-                        std::size_t chunk_begin, std::size_t chunk_end,
-                        SeedingStats* stats, bool charge_heap) const
-{
-    return seed_chunk_impl(query, chunk_begin, chunk_end, stats,
-                           charge_heap);
-}
-
-std::vector<SeedHit>
-DsoftSeeder::seed_all(const seq::Sequence& query, SeedingStats* stats,
-                      ThreadPool* pool) const
-{
-    const std::span<const std::uint8_t> codes{query.codes().data(),
-                                              query.size()};
-    return seed_all_impl(codes, query.size(), stats, pool);
-}
-
-std::vector<SeedHit>
-DsoftSeeder::seed_all(const seq::PackedSequence& query, SeedingStats* stats,
-                      ThreadPool* pool) const
-{
-    return seed_all_impl(query, query.size(), stats, pool);
 }
 
 }  // namespace darwin::seed

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "seed/seed_index.h"
+#include "seq/base_view.h"
 #include "util/thread_pool.h"
 
 namespace darwin::seed {
@@ -93,22 +94,18 @@ class DsoftSeeder {
      * Seed one query chunk [chunk_begin, chunk_end) of `query`.
      * Emits at most one SeedHit per qualifying diagonal band.
      *
+     * `query` may be byte- or packed-backed; the output is identical
+     * for equal bases.
+     *
      * `charge_heap` controls whether the returned vector is charged
      * against the caller's fault heap budget. True fits callers that
-     * *retain* the hits (the classic pipeline accumulates every
-     * chunk's hits, so cumulative charges track residency); the
-     * streaming dataflow passes false — its chunks are transient,
-     * drained into a fixed-capacity channel and freed, so it charges
-     * the high-water of one chunk itself.
+     * *retain* the hits (an in-RAM run holds every chunk's hits, so
+     * cumulative charges track residency); a spilling run passes
+     * false — its chunks are transient, drained into a fixed-capacity
+     * channel and freed, so it charges the high-water of one chunk
+     * itself.
      */
-    std::vector<SeedHit> seed_chunk(std::span<const std::uint8_t> query,
-                                    std::size_t chunk_begin,
-                                    std::size_t chunk_end,
-                                    SeedingStats* stats = nullptr,
-                                    bool charge_heap = true) const;
-
-    /** Packed-query chunk seeding; identical output for equal bases. */
-    std::vector<SeedHit> seed_chunk(const seq::PackedSequence& query,
+    std::vector<SeedHit> seed_chunk(seq::BaseView query,
                                     std::size_t chunk_begin,
                                     std::size_t chunk_end,
                                     SeedingStats* stats = nullptr,
@@ -118,12 +115,7 @@ class DsoftSeeder {
      * Seed a whole query sequence, optionally across a thread pool.
      * The result is deterministic (sorted by query, then target).
      */
-    std::vector<SeedHit> seed_all(const seq::Sequence& query,
-                                  SeedingStats* stats = nullptr,
-                                  ThreadPool* pool = nullptr) const;
-
-    /** Packed-query variant of seed_all. */
-    std::vector<SeedHit> seed_all(const seq::PackedSequence& query,
+    std::vector<SeedHit> seed_all(seq::BaseView query,
                                   SeedingStats* stats = nullptr,
                                   ThreadPool* pool = nullptr) const;
 
@@ -135,13 +127,7 @@ class DsoftSeeder {
                                          std::size_t chunk_begin,
                                          std::size_t chunk_end,
                                          SeedingStats* stats,
-                                         bool charge_heap = true) const;
-
-    template <class Source>
-    std::vector<SeedHit> seed_all_impl(const Source& query,
-                                       std::size_t query_size,
-                                       SeedingStats* stats,
-                                       ThreadPool* pool) const;
+                                         bool charge_heap) const;
 
     const SeedIndex& index_;
     DsoftParams params_;

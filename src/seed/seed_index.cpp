@@ -139,17 +139,13 @@ SeedIndex::directory_bits_for(const SeedPattern& pattern,
                                 std::bit_width(num_keys)));
 }
 
-SeedIndex::SeedIndex(const seq::Sequence& target, const SeedPattern& pattern,
+SeedIndex::SeedIndex(seq::BaseView target, const SeedPattern& pattern,
                      std::uint32_t max_bucket)
-    : SeedIndex(build_index(std::span<const std::uint8_t>{
-                                target.codes().data(), target.size()},
-                            target.size(), pattern, max_bucket))
-{
-}
-
-SeedIndex::SeedIndex(const seq::PackedSequence& target,
-                     const SeedPattern& pattern, std::uint32_t max_bucket)
-    : SeedIndex(build_index(target, target.size(), pattern, max_bucket))
+    : SeedIndex(target.packed()
+                    ? build_index(*target.packed_sequence(), target.size(),
+                                  pattern, max_bucket)
+                    : build_index(target.bytes(), target.size(), pattern,
+                                  max_bucket))
 {
 }
 

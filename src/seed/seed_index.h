@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "seed/seed_pattern.h"
-#include "seq/sequence.h"
+#include "seq/base_view.h"
 
 namespace darwin::seed {
 
@@ -85,7 +85,8 @@ class SeedIndex {
     };
 
     /**
-     * Build the index over `target` (typically a flattened genome).
+     * Build the index over `target` (typically a flattened genome), in
+     * byte or 2-bit storage: equal bases give bit-identical sections.
      * Windows containing N contribute nothing, so chromosome separators
      * are never indexed.
      *
@@ -94,12 +95,7 @@ class SeedIndex {
      *        seeds otherwise swamp the filter stage (whole-genome aligners
      *        all cap repeat seeds one way or another).
      */
-    SeedIndex(const seq::Sequence& target, const SeedPattern& pattern,
-              std::uint32_t max_bucket = kDefaultMaxBucket);
-
-    /** Same build over a 2-bit packed target; produces bit-identical
-     *  sections to the byte overload for equal base content. */
-    SeedIndex(const seq::PackedSequence& target, const SeedPattern& pattern,
+    SeedIndex(seq::BaseView target, const SeedPattern& pattern,
               std::uint32_t max_bucket = kDefaultMaxBucket);
 
     /**

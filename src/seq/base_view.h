@@ -37,6 +37,10 @@ class BaseView {
 
     /*implicit*/ BaseView(const PackedSequence& packed) : packed_(&packed) {}
 
+    /*implicit*/ BaseView(const Sequence& sequence) : bytes_(sequence.codes())
+    {
+    }
+
     std::size_t
     size() const
     {

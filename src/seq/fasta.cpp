@@ -44,58 +44,27 @@ read_fasta(std::istream& in, const std::string& source)
 {
     const std::string where = source.empty() ? "fasta" : source;
     std::vector<Sequence> records;
-    std::string line;
-    std::string name;
     std::vector<std::uint8_t> codes;
-    bool in_record = false;
-    std::size_t line_no = 0;
-    std::size_t header_line = 0;
-
-    auto flush = [&] {
-        if (!in_record)
-            return;
-        if (codes.empty()) {
-            fatal(strprintf("%s:%zu: record '%s' has no sequence data "
-                            "(empty or truncated record)",
-                            where.c_str(), header_line, name.c_str()));
-        }
-        records.emplace_back(name, std::move(codes));
-        codes = {};
-    };
-
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty() || line[0] == ';')
-            continue;
-        if (line[0] == '>') {
-            flush();
-            name = trim(line.substr(1));
-            // Use only the first whitespace-delimited token as the name.
-            const auto space = name.find_first_of(" \t");
-            if (space != std::string::npos)
-                name = name.substr(0, space);
-            if (name.empty())
-                fatal(strprintf("%s:%zu: empty record name",
-                                where.c_str(), line_no));
-            header_line = line_no;
-            in_record = true;
-            continue;
-        }
-        if (!in_record) {
-            fatal(strprintf("%s:%zu: sequence data before first '>' header",
-                            where.c_str(), line_no));
-        }
-        encode_fasta_line(line, where, line_no, [&codes](std::uint8_t code) {
-            codes.push_back(code);
+    std::string buffer;
+    std::size_t lines = 0;
+    parse_fasta(
+        where,
+        [&](std::string_view& line) {
+            if (!std::getline(in, buffer)) {
+                if (in.bad())
+                    fatal(strprintf("%s:%zu: read error (truncated file?)",
+                                    where.c_str(), lines));
+                return false;
+            }
+            ++lines;
+            line = buffer;
+            return true;
+        },
+        [&codes](std::uint8_t code) { codes.push_back(code); },
+        [&](std::string name) {
+            records.emplace_back(std::move(name), std::move(codes));
+            codes = {};
         });
-    }
-    if (in.bad()) {
-        fatal(strprintf("%s:%zu: read error (truncated file?)",
-                        where.c_str(), line_no));
-    }
-    flush();
     return records;
 }
 

@@ -19,6 +19,8 @@
 #include "seq/alphabet.h"
 #include "seq/genome.h"
 #include "seq/sequence.h"
+#include "util/logging.h"
+#include "util/strings.h"
 
 namespace darwin::seq {
 
@@ -31,10 +33,9 @@ const std::array<std::uint8_t, 256>& iupac_code_table();
                                     std::size_t line_no, char c);
 
 /**
- * The per-byte loop both FASTA parsers (read_fasta and the packed
- * reader in seq/packed_io) run over one sequence line: one table lookup
- * per base, `emit(code)` for each IUPAC letter, whitespace skipped,
- * anything else fatal.
+ * The per-byte loop parse_fasta runs over one sequence line: one table
+ * lookup per base, `emit(code)` for each IUPAC letter, whitespace
+ * skipped, anything else fatal.
  */
 template <class Emit>
 void
@@ -49,6 +50,68 @@ encode_fasta_line(std::string_view line, const std::string& where,
         else if (std::isspace(static_cast<unsigned char>(c)) == 0)
             reject_fasta_byte(where, line_no, c);
     }
+}
+
+/**
+ * The record loop both FASTA parsers run (read_fasta over a stream, the
+ * packed reader in seq/packed_io over mapped bytes). `next_line(line)`
+ * sets `line` to the next line without its '\n' and returns false at
+ * the end of input; `append(code)` receives each base code of the
+ * current record and `emit(name)` ends it. Headers, comments, empty or
+ * truncated records and data before the first header are handled
+ * here, with `where`:line diagnostics.
+ */
+template <class NextLine, class Append, class Emit>
+void
+parse_fasta(const std::string& where, NextLine&& next_line, Append&& append,
+            Emit&& emit)
+{
+    std::string name;
+    bool in_record = false;
+    std::size_t bases = 0;
+    std::size_t line_no = 0;
+    std::size_t header_line = 0;
+    const auto flush = [&] {
+        if (!in_record)
+            return;
+        if (bases == 0) {
+            fatal(strprintf("%s:%zu: record '%s' has no sequence data "
+                            "(empty or truncated record)",
+                            where.c_str(), header_line, name.c_str()));
+        }
+        emit(std::move(name));
+    };
+
+    std::string_view line;
+    while (next_line(line)) {
+        ++line_no;
+        if (!line.empty() && line.back() == '\r')
+            line.remove_suffix(1);
+        if (line.empty() || line[0] == ';')
+            continue;
+        if (line[0] == '>') {
+            flush();
+            name = trim(std::string(line.substr(1)));
+            // Use only the first whitespace-delimited token as the name.
+            name = name.substr(0, name.find_first_of(" \t"));
+            if (name.empty())
+                fatal(strprintf("%s:%zu: empty record name",
+                                where.c_str(), line_no));
+            header_line = line_no;
+            in_record = true;
+            bases = 0;
+            continue;
+        }
+        if (!in_record) {
+            fatal(strprintf("%s:%zu: sequence data before first '>' header",
+                            where.c_str(), line_no));
+        }
+        encode_fasta_line(line, where, line_no, [&](std::uint8_t code) {
+            ++bases;
+            append(code);
+        });
+    }
+    flush();
 }
 
 /** Parse every record from a FASTA stream. `source` names the stream in

@@ -120,6 +120,14 @@ Genome::flattened() const
     return flat_;
 }
 
+BaseView
+Genome::flattened_view() const
+{
+    if (packed_mode_)
+        return flattened_packed();
+    return flattened();
+}
+
 const PackedSequence&
 Genome::flattened_packed() const
 {

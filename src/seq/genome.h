@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "seq/base_view.h"
 #include "seq/packed_sequence.h"
 #include "seq/sequence.h"
 
@@ -121,6 +122,10 @@ class Genome {
      * flattened(). Cached lazily.
      */
     const PackedSequence& flattened_packed() const;
+
+    /** The flattened bases in the genome's own storage — 2-bit words
+     *  on a packed genome (never decoded), bytes otherwise. */
+    BaseView flattened_view() const;
 
     /** Drop lazily decoded byte caches (packed mode only; byte-mode
      *  storage is never touched). */

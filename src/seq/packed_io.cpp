@@ -106,9 +106,9 @@ align_up(std::uint64_t offset)
 }
 
 /**
- * Parse mmap'd FASTA bytes straight into packed chromosomes — same
- * acceptance rules and diagnostics as seq/fasta.cpp's read_fasta, but
- * no byte-per-base intermediate is ever allocated.
+ * Parse mmap'd FASTA bytes straight into packed chromosomes — the
+ * record loop of read_fasta (parse_fasta), but no byte-per-base
+ * intermediate is ever allocated.
  */
 Genome
 parse_fasta_packed(const std::uint8_t* data, std::size_t size,
@@ -116,76 +116,33 @@ parse_fasta_packed(const std::uint8_t* data, std::size_t size,
 {
     Genome genome(name);
     PackedSequence current;
-    std::string current_name;
-    bool in_record = false;
-    std::size_t header_line = 0;
-    std::size_t line_no = 0;
     std::size_t pos = 0;
-
-    auto flush = [&] {
-        if (!in_record)
-            return;
-        if (current.empty()) {
-            fatal(strprintf("%s:%zu: record '%s' has no sequence data "
-                            "(empty or truncated record)",
-                            where.c_str(), header_line,
-                            current_name.c_str()));
-        }
-        current.set_name(current_name);
-        genome.add_chromosome(std::move(current));
-        current = PackedSequence();
-    };
-
-    while (pos < size) {
-        ++line_no;
-        std::size_t end = pos;
-        while (end < size && data[end] != '\n')
-            ++end;
-        std::size_t line_end = end;
-        if (line_end > pos && data[line_end - 1] == '\r')
-            --line_end;
-        const char* line = reinterpret_cast<const char*>(data + pos);
-        const std::size_t len = line_end - pos;
-        pos = (end < size) ? end + 1 : end;
-        if (len == 0 || line[0] == ';')
-            continue;
-        if (line[0] == '>') {
-            flush();
-            std::string header = trim(std::string(line + 1, len - 1));
-            const auto space = header.find_first_of(" \t");
-            if (space != std::string::npos)
-                header = header.substr(0, space);
-            if (header.empty())
-                fatal(strprintf("%s:%zu: empty record name",
-                                where.c_str(), line_no));
-            current_name = std::move(header);
-            header_line = line_no;
-            in_record = true;
-            continue;
-        }
-        if (!in_record) {
-            fatal(strprintf("%s:%zu: sequence data before first '>' header",
-                            where.c_str(), line_no));
-        }
-        encode_fasta_line({line, len}, where, line_no,
-                          [&current](std::uint8_t code) {
-                              current.append_code(code);
-                          });
-    }
-    flush();
+    parse_fasta(
+        where,
+        [&](std::string_view& line) {
+            if (pos >= size)
+                return false;
+            const auto* newline = static_cast<const std::uint8_t*>(
+                std::memchr(data + pos, '\n', size - pos));
+            const std::size_t end =
+                newline != nullptr ? static_cast<std::size_t>(newline - data)
+                                   : size;
+            line = {reinterpret_cast<const char*>(data + pos), end - pos};
+            pos = newline != nullptr ? end + 1 : size;
+            return true;
+        },
+        [&current](std::uint8_t code) { current.append_code(code); },
+        [&](std::string record) {
+            current.set_name(std::move(record));
+            genome.add_chromosome(std::move(current));
+            current = PackedSequence();
+        });
     if (genome.num_chromosomes() == 0)
         fatal("fasta: no records in file: " + where);
     return genome;
 }
 
 }  // namespace
-
-std::uint64_t
-file_content_digest(const std::string& path)
-{
-    const auto mapping = map_file(path, "file");
-    return fnv1a64_bytes({mapping->bytes(), mapping->size()});
-}
 
 void
 save_packed_genome(const std::string& path, const Genome& genome,

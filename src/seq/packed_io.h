@@ -96,9 +96,6 @@ struct PackedChromEntry {
 static_assert(sizeof(PackedChromEntry) == 48,
               "PackedChromEntry layout is part of the on-disk format");
 
-/** FNV-1a digest of a file's raw bytes — the sidecar cache key. */
-std::uint64_t file_content_digest(const std::string& path);
-
 /** Serialize a genome to `path` atomically (tmp + rename). Works for
  *  byte-mode genomes too (packs on the fly). */
 void save_packed_genome(const std::string& path, const Genome& genome,

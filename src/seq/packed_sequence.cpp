@@ -188,24 +188,6 @@ PackedSequence::append_n_run(std::size_t count)
         append_code(BaseN);
 }
 
-void
-PackedSequence::append_codes(std::span<const std::uint8_t> codes)
-{
-    for (const std::uint8_t code : codes)
-        append_code(code);
-}
-
-bool
-PackedSequence::has_n() const
-{
-    const std::uint64_t* words = n_words();
-    for (std::size_t i = 0; i < num_n_words(); ++i) {
-        if (words[i] != 0)
-            return true;
-    }
-    return false;
-}
-
 std::size_t
 PackedSequence::heap_bytes() const
 {

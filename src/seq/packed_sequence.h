@@ -114,12 +114,6 @@ class PackedSequence {
     /** Append a run of N (owned mode only). */
     void append_n_run(std::size_t count);
 
-    /** Append byte codes (owned mode only). */
-    void append_codes(std::span<const std::uint8_t> codes);
-
-    /** True when any position is ambiguous. */
-    bool has_n() const;
-
     const std::uint64_t*
     base_words() const
     {

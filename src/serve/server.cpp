@@ -485,9 +485,7 @@ Server::acquire_index(const Request& request, const seq::Genome& target,
     // packed server hits the same cache entries (and accepts the same
     // .dwi files) a byte server would.
     const std::uint64_t digest =
-        target.packed()
-            ? index::sequence_digest(target.flattened_packed())
-            : index::sequence_digest(target.flattened());
+        index::sequence_digest(target.flattened_view());
     const index::IndexKey key{digest, seed_pattern,
                               seed::SeedIndex::kDefaultMaxBucket};
     bool built = false;
@@ -519,12 +517,8 @@ Server::acquire_index(const Request& request, const seq::Genome& target,
                         seed::SeedIndex::kDefaultMaxBucket));
                 return loaded;
             }
-            if (target.packed())
-                return std::make_shared<const seed::SeedIndex>(
-                    target.flattened_packed(),
-                    seed::SeedPattern(seed_pattern));
             return std::make_shared<const seed::SeedIndex>(
-                target.flattened(), seed::SeedPattern(seed_pattern));
+                target.flattened_view(), seed::SeedPattern(seed_pattern));
         },
         &built);
     if (cache_hit != nullptr)
@@ -626,14 +620,9 @@ Server::do_align(const Request& request, double queue_wait_seconds)
     try {
         fault::ContextScope scope(token.get(), seq_no);
         const wga::WgaPipeline pipeline(params);
-        if (target->packed())
-            result = pipeline.run_with_index_packed(
-                *index, target->flattened_packed(),
-                query->flattened_packed(), nullptr, metrics_);
-        else
-            result = pipeline.run_with_index(*index, target->flattened(),
-                                             query->flattened(), nullptr,
-                                             metrics_);
+        result = pipeline.run_with_index(
+            *index, target->flattened_view(), query->flattened_view(),
+            nullptr, metrics_);
     } catch (const fault::CancelledError& error) {
         if (error.reason() != fault::CancelReason::External)
             record_outcome(true);

@@ -1,11 +1,13 @@
 /**
  * @file
- * Wall-clock timing helpers used by the pipelines and bench harnesses.
+ * Wall-clock and thread CPU timing helpers used by the pipelines and
+ * bench harnesses.
  */
 #ifndef DARWIN_UTIL_TIMER_H
 #define DARWIN_UTIL_TIMER_H
 
 #include <chrono>
+#include <ctime>
 
 namespace darwin {
 
@@ -32,6 +34,16 @@ class Timer {
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;
 };
+
+/** CPU seconds the calling thread has run: work time that, unlike a
+ *  stopwatch, excludes waits and preemption. */
+inline double
+thread_cpu_seconds()
+{
+    timespec now{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+    return static_cast<double>(now.tv_sec) + now.tv_nsec * 1e-9;
+}
 
 }  // namespace darwin
 

@@ -3,8 +3,7 @@
  * Bounded multi-producer multi-consumer work queue with backpressure and
  * shutdown semantics: a fast producer blocks (instead of ballooning
  * memory) when a slow consumer falls behind. The serve daemon queues
- * requests in one, the batch engine its tasks, and BoundedStream uses
- * one as its in-memory window.
+ * requests in one and the batch engine its tasks.
  *
  * Shutdown model: close() stops further pushes but lets consumers drain
  * every item that was accepted before the close; pop() returns nullopt

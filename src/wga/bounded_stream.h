@@ -3,12 +3,12 @@
  * BoundedStream: a fixed-capacity SPSC channel with a spill-or-
  * backpressure overflow policy.
  *
- * The in-memory window is a WorkQueue (the same bounded channel the
- * batch engine and the serve daemon queue work in). What differs is
- * what happens when the window fills while the consumer lags:
+ * Records enter an in-memory window of `capacity` records. What
+ * differs is what happens when the window fills while the consumer
+ * lags:
  *
- *  - backpressure mode (spill disabled): the producer blocks, exactly
- *    like a bare WorkQueue push;
+ *  - backpressure mode: the producer blocks until the consumer makes
+ *    room;
  *  - spill mode: the overflow is appended to an unlinked temp file
  *    (SpillFile) and the producer keeps going. FIFO order is preserved
  *    by a strict regime: once spilling starts, *every* push goes to the
@@ -16,36 +16,42 @@
  *    the spilled backlog, at which point the stream flips back to
  *    in-memory operation and the spill file is recycled.
  *
- * Heap accounting: the fixed window plus the spill staging buffers are
- * charged against the fault heap budget once, at construction — the
- * stream's residency never grows past that, no matter how many records
- * flow through. Spilled bytes are bookkept (spilled_items()) but not
- * charged; disk is the escape valve.
+ * Records move in batches: the producer appends a run of records under
+ * one lock (push_all), and a consumer waiting for a batch (pop_batch)
+ * is woken only once that batch is ready or the stream closes — not
+ * once per record, which would cost a thread wake-up per seed hit.
  *
- * Strictly single-producer / single-consumer: the streaming pipeline
- * runs seeding on a producer thread and filter/extend on the consumer
- * side. close() follows WorkQueue semantics (consumer drains, then
- * sees nullopt).
+ * Heap accounting: resident_bytes() is the fixed window plus the spill
+ * staging buffers — the stream's residency never grows past that, no
+ * matter how many records flow through. The owner charges it against
+ * the fault heap budget (run_strand does for a spilling stream).
+ * Spilled bytes are bookkept (spilled_items()) but not charged; disk
+ * is the escape valve.
+ *
+ * Strictly single-producer / single-consumer: the strand driver runs
+ * seeding on a producer thread and filter/extend on the consumer side.
+ * After close() the consumer drains what is left, then sees the end.
  */
 #ifndef DARWIN_WGA_BOUNDED_STREAM_H
 #define DARWIN_WGA_BOUNDED_STREAM_H
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
-#include "fault/cancel.h"
-#include "util/work_queue.h"
 #include "wga/spill.h"
 
 namespace darwin::wga {
 
 /** Overflow policy for a BoundedStream. */
 enum class OverflowPolicy {
-    Backpressure,  ///< block the producer (bare WorkQueue semantics)
+    Backpressure,  ///< block the producer while the window is full
     Spill,         ///< divert overflow to disk, never block
 };
 
@@ -56,7 +62,7 @@ class BoundedStream {
 
   public:
     /**
-     * @param capacity      In-memory window (records).
+     * @param capacity      In-memory window (records); 0 means 1.
      * @param policy        What to do when the window is full.
      * @param spill_dir     Spill directory ("" = system temp dir).
      * @param staging       Spill write/read batch (records); bounds the
@@ -66,43 +72,45 @@ class BoundedStream {
                            OverflowPolicy policy = OverflowPolicy::Spill,
                            std::string spill_dir = "",
                            std::size_t staging = 1024)
-        : queue_(capacity), policy_(policy),
+        : capacity_(std::max<std::size_t>(1, capacity)), policy_(policy),
           staging_(staging == 0 ? 1 : staging),
           spill_dir_(std::move(spill_dir))
     {
-        // Fixed residency, charged once: the window plus both staging
-        // buffers. Everything past this spills to disk uncharged.
-        std::size_t resident = queue_.capacity() * sizeof(T);
+        // Fixed residency: the window plus both staging buffers.
+        // Everything past this spills to disk.
+        resident_bytes_ = capacity_ * sizeof(T);
         if (policy_ == OverflowPolicy::Spill)
-            resident += 2 * staging_ * sizeof(T);
-        fault::charge_heap_bytes(resident);
-        resident_bytes_ = resident;
+            resident_bytes_ += 2 * staging_ * sizeof(T);
     }
 
     /** Fixed in-memory footprint of this stream (bytes). */
     std::size_t resident_bytes() const { return resident_bytes_; }
 
     /**
-     * Producer side. Returns false only when the stream was closed
-     * under backpressure; spill mode always accepts until close().
+     * Producer side: append `items` in order. Backpressure mode blocks
+     * while the window is full; spill mode never blocks. Returns false
+     * once the stream is closed (the rest of `items` is dropped).
      */
     bool
-    push(const T& item)
+    push_all(std::span<const T> items)
     {
-        ++pushed_;
-        if (policy_ == OverflowPolicy::Backpressure)
-            return queue_.push(item);
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (const T& item : items) {
+            if (policy_ == OverflowPolicy::Backpressure &&
+                window_.size() >= capacity_) {
+                ready_.notify_one();  // a full window is a ready batch
+                space_.wait(lock, [this] {
+                    return closed_ || window_.size() < capacity_;
+                });
+            }
             if (closed_)
                 return false;
+            ++pushed_;
+            if (!spilling_ && window_.size() < capacity_) {
+                window_.push_back(item);
+                continue;
+            }
             if (!spilling_) {
-                T copy = item;
-                if (queue_.try_push(copy)) {
-                    lock.unlock();
-                    wake_.notify_one();
-                    return true;
-                }
                 spilling_ = true;
                 ++spill_episodes_;
             }
@@ -112,31 +120,49 @@ class BoundedStream {
             if (write_buf_.size() >= staging_)
                 flush_write_buf();
         }
-        wake_.notify_one();
+        if (window_.size() + spill_pending_ >= wanted_)
+            ready_.notify_one();
         return true;
     }
 
-    /** Consumer side; nullopt once closed and fully drained. */
+    bool push(const T& item) { return push_all({&item, 1}); }
+
+    /**
+     * Consumer side: wait until `n` records (at most one window's
+     * worth) are ready or the stream is closed, then append up to `n`
+     * of them to `out` in FIFO order. False once closed and drained.
+     */
+    bool
+    pop_batch(std::vector<T>* out, std::size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        wanted_ = std::clamp<std::size_t>(n, 1, capacity_);
+        ready_.wait(lock, [this] {
+            return closed_ || window_.size() + spill_pending_ >= wanted_;
+        });
+        const std::size_t before = out->size();
+        while (out->size() - before < n && !window_.empty()) {
+            out->push_back(window_.front());
+            window_.pop_front();
+        }
+        while (out->size() - before < n && spill_pending_ > 0)
+            out->push_back(pop_spilled_locked());
+        space_.notify_one();
+        return out->size() > before;
+    }
+
+    /** One record; nullopt once closed and drained. */
     std::optional<T>
     pop()
     {
-        if (policy_ == OverflowPolicy::Backpressure)
-            return queue_.pop();
-        while (true) {
-            if (auto item = queue_.try_pop())
-                return item;
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (spill_pending_ > 0)
-                return pop_spilled_locked();
-            if (closed_ && queue_.size() == 0)
-                return std::nullopt;
-            wake_.wait(lock, [this] {
-                return closed_ || spill_pending_ > 0 || queue_.size() > 0;
-            });
-        }
+        std::vector<T> one;
+        if (!pop_batch(&one, 1))
+            return std::nullopt;
+        return one.front();
     }
 
-    /** Producer is done; consumer drains the backlog then sees nullopt. */
+    /** Producer is done; consumer drains the backlog then sees the
+     *  end. Also unblocks a producer waiting for room. */
     void
     close()
     {
@@ -144,8 +170,8 @@ class BoundedStream {
             std::lock_guard<std::mutex> lock(mutex_);
             closed_ = true;
         }
-        queue_.close();
-        wake_.notify_all();
+        ready_.notify_all();
+        space_.notify_all();
     }
 
     std::uint64_t pushed() const { return pushed_; }
@@ -164,7 +190,7 @@ class BoundedStream {
         write_buf_.clear();
     }
 
-    std::optional<T>
+    T
     pop_spilled_locked()
     {
         if (read_pos_ >= read_buf_.size()) {
@@ -200,14 +226,17 @@ class BoundedStream {
         return item;
     }
 
-    WorkQueue<T> queue_;
+    std::size_t capacity_;
     OverflowPolicy policy_;
     std::size_t staging_;
     std::string spill_dir_;
     std::size_t resident_bytes_ = 0;
 
-    std::mutex mutex_;
-    std::condition_variable wake_;
+    std::mutex mutex_;  // guards everything below
+    std::condition_variable ready_;  // consumer: a batch is ready
+    std::condition_variable space_;  // producer: the window has room
+    std::deque<T> window_;
+    std::size_t wanted_ = 1;  // records the waiting consumer asked for
     bool closed_ = false;
     bool spilling_ = false;
     std::vector<T> write_buf_;
@@ -216,7 +245,6 @@ class BoundedStream {
     std::uint64_t file_read_ = 0;
     std::unique_ptr<SpillFile> file_;
     std::uint64_t spill_pending_ = 0;
-
     std::uint64_t pushed_ = 0;
     std::uint64_t spilled_ = 0;
     std::uint64_t spill_episodes_ = 0;

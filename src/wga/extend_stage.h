@@ -51,13 +51,6 @@ class ExtendStage {
     ExtendStage(const WgaParams& params, seq::BaseView target,
                 seq::BaseView query);
 
-    ExtendStage(const WgaParams& params,
-                std::span<const std::uint8_t> target,
-                std::span<const std::uint8_t> query)
-        : ExtendStage(params, seq::BaseView(target), seq::BaseView(query))
-    {
-    }
-
     /**
      * Extend candidates (already sorted by descending filter score) into
      * alignments.
@@ -80,8 +73,7 @@ class ExtendStage {
      * The caller must deliver them in the canonical sort_candidates
      * order; given that, the output is identical to extend_all over
      * the equivalent vector. This is the bounded-memory entry point —
-     * the streaming pipeline drains its candidate spill buffer
-     * straight into it, so at most one wave of anchors is resident.
+     * run_strand drains its candidate buffer straight into it, so at most one wave of anchors is resident.
      */
     std::vector<align::Alignment> extend_stream(
         const std::function<std::optional<FilterCandidate>()>& next,

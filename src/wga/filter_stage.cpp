@@ -124,14 +124,7 @@ FilterStage::filter_all(const std::vector<seed::SeedHit>& hits,
 void
 sort_candidates(std::vector<FilterCandidate>& candidates)
 {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const FilterCandidate& a, const FilterCandidate& b) {
-                  if (a.filter_score != b.filter_score)
-                      return a.filter_score > b.filter_score;
-                  if (a.anchor_t != b.anchor_t)
-                      return a.anchor_t < b.anchor_t;
-                  return a.anchor_q < b.anchor_q;
-              });
+    std::sort(candidates.begin(), candidates.end(), CandidateOrder{});
 }
 
 }  // namespace darwin::wga

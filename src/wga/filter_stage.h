@@ -49,10 +49,23 @@ struct FilterStats {
 
 /**
  * Canonical extension order: descending filter score, ties broken by
- * anchor position. filter_all applies it, and run_streaming's
- * spill merge reproduces it, so both feed extension the same candidate
- * order (and therefore get the same extension output).
+ * anchor position. filter_all sorts by it, and run_strand's candidate
+ * buffer drains in it, so both feed extension the same candidate order
+ * (and therefore get the same extension output).
  */
+struct CandidateOrder {
+    bool
+    operator()(const FilterCandidate& a, const FilterCandidate& b) const
+    {
+        if (a.filter_score != b.filter_score)
+            return a.filter_score > b.filter_score;
+        if (a.anchor_t != b.anchor_t)
+            return a.anchor_t < b.anchor_t;
+        return a.anchor_q < b.anchor_q;
+    }
+};
+
+/** Sort candidates into CandidateOrder. */
 void sort_candidates(std::vector<FilterCandidate>& candidates);
 
 /** Filtering over one (target, query) span pair. */
@@ -68,13 +81,6 @@ class FilterStage {
     FilterStage(const WgaParams& params, seq::BaseView target,
                 seq::BaseView query);
 
-    FilterStage(const WgaParams& params,
-                std::span<const std::uint8_t> target,
-                std::span<const std::uint8_t> query)
-        : FilterStage(params, seq::BaseView(target), seq::BaseView(query))
-    {
-    }
-
     /** Filter one seed hit; nullopt when it fails the threshold. */
     std::optional<FilterCandidate> filter(const seed::SeedHit& hit,
                                           FilterStats* stats = nullptr) const;
@@ -82,8 +88,8 @@ class FilterStage {
     /**
      * Filter hits preserving hit order: slot i is hit i's candidate
      * (nullopt when it failed), computed by filter() — across the pool
-     * when one is given. Both filter_all and run_streaming route
-     * through this.
+     * when one is given. Both filter_all and run_strand route through
+     * this.
      */
     std::vector<std::optional<FilterCandidate>> filter_hits(
         const std::vector<seed::SeedHit>& hits, FilterStats* stats = nullptr,

@@ -11,18 +11,6 @@ namespace darwin::wga {
 
 namespace {
 
-/** Flattened bases of a genome without forcing a whole-genome decode:
- *  packed genomes are viewed through their 2-bit words directly. */
-seq::BaseView
-flat_view(const seq::Genome& genome)
-{
-    if (genome.packed())
-        return seq::BaseView(genome.flattened_packed());
-    const seq::Sequence& flat = genome.flattened();
-    return seq::BaseView(
-        std::span<const std::uint8_t>{flat.codes().data(), flat.size()});
-}
-
 /** Render the gapped text of one side of an alignment. */
 std::string
 gapped_text(const align::Alignment& alignment, seq::BaseView flat,
@@ -65,8 +53,8 @@ write_maf(std::ostream& out,
           const seq::Genome& target, const seq::Genome& query,
           const std::string& comment)
 {
-    const seq::BaseView target_flat = flat_view(target);
-    const seq::BaseView query_flat = flat_view(query);
+    const seq::BaseView target_flat = target.flattened_view();
+    const seq::BaseView query_flat = query.flattened_view();
 
     // Reverse-strand alignments carry coordinates in the space of the
     // reverse-complemented flattened query; materialize it on demand

@@ -11,9 +11,9 @@
  * budget.
  *
  * SortingSpillBuffer accumulates records of a total order with O(chunk)
- * memory: full chunks are sorted and spilled, and drain_sorted() k-way
- * merges the chunks (plus the in-memory tail) back in order. The
- * streaming pipeline uses it to restore the canonical candidate order
+ * memory: full chunks are sorted and spilled, and drain() k-way merges
+ * the chunks (plus the in-memory tail) back in order. The strand
+ * driver uses it to restore the canonical candidate order
  * (sort_candidates) without materializing every candidate in RAM.
  */
 #ifndef DARWIN_WGA_SPILL_H
@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,7 +65,8 @@ class SpillFile {
 /**
  * Bounded-memory accumulator of sortable records. Push in any order;
  * drain strictly in `Less` order. At most `chunk_capacity` records
- * (plus per-chunk merge read buffers during the drain) are resident.
+ * (plus per-chunk merge read buffers during the drain) are resident; a
+ * SIZE_MAX capacity never spills and grows with its input.
  */
 template <class T, class Less>
 class SortingSpillBuffer {
@@ -77,7 +79,8 @@ class SortingSpillBuffer {
         : chunk_capacity_(chunk_capacity == 0 ? 1 : chunk_capacity),
           less_(less), spill_dir_(std::move(spill_dir))
     {
-        pending_.reserve(chunk_capacity_);
+        if (chunk_capacity_ != std::numeric_limits<std::size_t>::max())
+            pending_.reserve(chunk_capacity_);
     }
 
     void
@@ -211,16 +214,6 @@ class SortingSpillBuffer {
 
     /** Begin draining (single use per fill; see Drain). */
     Drain drain() { return Drain(this); }
-
-    /** Visit every record in `Less` order; the buffer is empty after. */
-    template <class Fn>
-    void
-    drain_sorted(Fn&& fn)
-    {
-        Drain cursor = drain();
-        while (auto item = cursor.next())
-            fn(*item);
-    }
 
   private:
     friend class Drain;

@@ -217,7 +217,7 @@ run_and_compare(const ManifestFixture& fixture, bool both_strands,
                              std::to_string(threads) + " threads");
     }
     // One strand task per (pair, strand).
-    EXPECT_EQ(metrics.counter("batch.seed.tasks").value(),
+    EXPECT_EQ(metrics.counter("batch.strand.tasks").value(),
               fixture.jobs.size() * (both_strands ? 2u : 1u));
     EXPECT_EQ(metrics.counter("batch.pairs_completed").value(),
               fixture.jobs.size());
@@ -294,17 +294,17 @@ TEST(BatchEngine, StageCountersReconcile)
     const auto count = [&metrics](const char* name) {
         return metrics.counter(name).value();
     };
-    // Every seed hit enters the filter, where it is either kept as a
-    // candidate anchor or dropped.
-    EXPECT_GT(count("batch.seed.hits"), 0u);
-    EXPECT_EQ(count("batch.seed.hits"), count("batch.filter.hits_in"));
-    EXPECT_EQ(count("batch.filter.hits_in"),
-              count("batch.filter.candidates") +
-                  count("batch.filter.dropped"));
+    // Every seed hit D-SOFT keeps (a seed candidate) enters the filter
+    // as one tile, where it is either passed as a candidate anchor or
+    // dropped: hits_in = candidates + dropped.
+    EXPECT_GT(count("batch.seed.candidates"), 0u);
+    EXPECT_EQ(count("batch.seed.candidates"), count("batch.filter.tiles"));
+    EXPECT_EQ(count("batch.filter.tiles"),
+              count("batch.filter.passed") + count("batch.filter.dropped"));
     // Every surviving candidate reaches extension as an anchor, where it
     // is either absorbed by an existing alignment or extended.
-    EXPECT_GT(count("batch.filter.candidates"), 0u);
-    EXPECT_EQ(count("batch.filter.candidates"),
+    EXPECT_GT(count("batch.filter.passed"), 0u);
+    EXPECT_EQ(count("batch.filter.passed"),
               count("batch.extend.anchors_in"));
     EXPECT_EQ(count("batch.extend.anchors_in"),
               count("batch.extend.absorbed") +

@@ -674,7 +674,6 @@ TEST(SpillFaults, SpillWriteFaultQuarantinesThePairNotTheProcess)
     options.streaming_params.hit_stream_capacity = 64;
     options.streaming_params.candidate_chunk = 16;
     options.streaming_params.filter_batch = 32;
-    options.streaming_params.spill = true;
 
     const auto plan =
         fault::FaultPlan::parse("stream.spill_write:throw:pair=1");

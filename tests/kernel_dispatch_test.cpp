@@ -4,8 +4,9 @@
  * --kernel parsing, selection state, the end-to-end guarantee that a
  * forced-scalar WgaPipeline run and an auto (vectorized) run produce
  * byte-identical MAF output with reconciling wga.filter.* and
- * wga.extend.* counters, and that every pipeline entry point reports
- * its kernel through the same gauges.
+ * wga.extend.* counters. That every pipeline entry point reports its
+ * kernel through the same gauges is checked with the strand driver's
+ * entry points (stream_test.cpp, StrandDriver).
  */
 #include <gtest/gtest.h>
 
@@ -15,9 +16,7 @@
 
 #include "align/kernels/bsw_kernels.h"
 #include "align/kernels/kernel_registry.h"
-#include "batch/scheduler.h"
 #include "obs/metrics.h"
-#include "seed/seed_index.h"
 #include "synth/species.h"
 #include "util/logging.h"
 #include "wga/maf.h"
@@ -154,88 +153,6 @@ TEST(KernelDispatch, ForcedScalarAndAutoProduceIdenticalMaf)
         ASSERT_NE(auto_gauge, nullptr) << name;
         EXPECT_EQ(scalar_gauge->value(), 0) << name;
         EXPECT_EQ(auto_gauge->value(), registry.active().id) << name;
-    }
-}
-
-/** Every metric name a registry holds, across the three kinds. */
-std::vector<std::string>
-metric_names(const obs::MetricsRegistry& metrics)
-{
-    const obs::MetricsSnapshot snapshot = metrics.snapshot();
-    std::vector<std::string> names;
-    for (const auto& entry : snapshot.counters)
-        names.push_back(entry.first);
-    for (const auto& entry : snapshot.gauges)
-        names.push_back(entry.first);
-    for (const auto& entry : snapshot.histograms)
-        names.push_back(entry.first);
-    return names;
-}
-
-TEST(KernelDispatch, EveryEntryPointPublishesKernelGaugesOnly)
-{
-    synth::AncestorConfig config;
-    config.num_chromosomes = 1;
-    config.chromosome_length = 8000;
-    config.exons_per_chromosome = 4;
-    const auto pair = synth::make_species_pair(
-        synth::find_species_pair("dm6-droSim1"), config, 4243);
-    const seq::Genome& target = pair.target.genome;
-    const seq::Genome& query = pair.query.genome;
-    const wga::WgaParams params = wga::WgaParams::darwin_defaults();
-    const wga::WgaPipeline pipeline(params);
-
-    obs::MetricsRegistry byte_metrics;
-    pipeline.run(target, query, nullptr, &byte_metrics);
-    const auto expected = byte_metrics.gauge_snapshot("wga.");
-    ASSERT_EQ(expected.size(), 2u);
-    for (const auto& [name, value] : expected)
-        EXPECT_EQ(value, KernelRegistry::instance().active().id) << name;
-
-    obs::MetricsRegistry packed_metrics;
-    pipeline.run_packed(target, query, nullptr, &packed_metrics);
-    EXPECT_EQ(packed_metrics.gauge_snapshot("wga."), expected);
-
-    obs::MetricsRegistry index_metrics;
-    const seed::SeedIndex index(target.flattened_packed(),
-                                seed::SeedPattern(params.seed_pattern));
-    pipeline.run_with_index_packed(index, target.flattened_packed(),
-                                   query.flattened_packed(), nullptr,
-                                   &index_metrics);
-    EXPECT_EQ(index_metrics.gauge_snapshot("wga."), expected);
-
-    // The streaming run and the batch scheduler publish the same kernel
-    // gauges next to their own wga.heap.* / batch.* families.
-    const auto expect_kernel_gauges = [&](const obs::MetricsRegistry& m) {
-        for (const auto& [name, value] : expected) {
-            const auto* gauge = m.find_gauge(name);
-            ASSERT_NE(gauge, nullptr) << name;
-            EXPECT_EQ(gauge->value(), value) << name;
-        }
-    };
-    obs::MetricsRegistry stream_metrics;
-    pipeline.run_streaming(target, query, wga::StreamingParams{}, nullptr,
-                           &stream_metrics);
-    expect_kernel_gauges(stream_metrics);
-
-    obs::MetricsRegistry batch_metrics;
-    batch::BatchOptions options;
-    options.params = params;
-    options.num_threads = 2;
-    batch::BatchScheduler scheduler(options, &batch_metrics);
-    const auto results = scheduler.run({{"pair", &target, &query}});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, fault::PairStatus::Clean);
-    expect_kernel_gauges(batch_metrics);
-
-    // One execution path: no batch-backend metric family anywhere.
-    for (const obs::MetricsRegistry* metrics :
-         {&byte_metrics, &packed_metrics, &index_metrics, &stream_metrics,
-          &batch_metrics}) {
-        for (const std::string& name : metric_names(*metrics)) {
-            EXPECT_NE(name.rfind("wga.batch.", 0), 0u) << name;
-            EXPECT_NE(name.rfind("batch.backend.", 0), 0u) << name;
-        }
     }
 }
 

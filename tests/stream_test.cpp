@@ -3,18 +3,24 @@
  * Tests for the bounded-memory dataflow: spill primitives
  * (wga/spill.h), the spill-or-backpressure channel
  * (wga/bounded_stream.h), sharded seed indexing (seed/sharded_index.h)
- * and its sharded `.dwi` persistence, and the streaming pipeline's
- * bit-identity with the classic materialized run — including the batch
- * engine's streaming mode.
+ * and its sharded `.dwi` persistence, and the strand driver
+ * (wga::run_strand): every storage / index source / overflow policy /
+ * pool configuration and every entry point reproduces the materialized
+ * seed_all -> filter_all -> extend_all composition — including the
+ * batch engine's streaming mode.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <thread>
 
+#include "align/kernels/kernel_registry.h"
 #include "batch/scheduler.h"
+#include "fault/fault_plan.h"
 #include "index/format.h"
 #include "index/index_io.h"
 #include "seed/sharded_index.h"
@@ -102,6 +108,33 @@ TEST(BoundedStream, BackpressureBlocksProducerUntilConsumed)
     EXPECT_EQ(stream.spilled_items(), 0u);
 }
 
+TEST(BoundedStream, BatchesNeverWaitPastAFullWindow)
+{
+    // The consumer asks for more records than the window holds: a full
+    // window (or the close) must release it, in either policy, and the
+    // batches come out in push order.
+    for (const OverflowPolicy policy :
+         {OverflowPolicy::Backpressure, OverflowPolicy::Spill}) {
+        BoundedStream<int> stream(3, policy, "", 4);
+        std::thread producer([&] {
+            std::vector<int> values(100);
+            for (int i = 0; i < 100; ++i)
+                values[i] = i;
+            for (int i = 0; i < 100; i += 7)
+                ASSERT_TRUE(stream.push_all(std::span<const int>(
+                    values.data() + i, std::min(7, 100 - i))));
+            stream.close();
+        });
+        std::vector<int> drained;
+        while (stream.pop_batch(&drained, 10)) {
+        }
+        producer.join();
+        ASSERT_EQ(drained.size(), 100u);
+        for (int i = 0; i < 100; ++i)
+            EXPECT_EQ(drained[i], i);
+    }
+}
+
 TEST(SortingSpillBuffer, DrainsInOrderAcrossSpilledChunks)
 {
     Rng rng(404);
@@ -117,7 +150,8 @@ TEST(SortingSpillBuffer, DrainsInOrderAcrossSpilledChunks)
 
     std::sort(values.begin(), values.end());
     std::vector<std::uint64_t> drained;
-    buffer.drain_sorted([&](std::uint64_t v) { drained.push_back(v); });
+    for (auto cursor = buffer.drain(); auto v = cursor.next();)
+        drained.push_back(*v);
     EXPECT_EQ(drained, values);
 
     // The buffer resets after a full drain and is reusable.
@@ -125,7 +159,8 @@ TEST(SortingSpillBuffer, DrainsInOrderAcrossSpilledChunks)
     buffer.push(3);
     buffer.push(1);
     drained.clear();
-    buffer.drain_sorted([&](std::uint64_t v) { drained.push_back(v); });
+    for (auto cursor = buffer.drain(); auto v = cursor.next();)
+        drained.push_back(*v);
     EXPECT_EQ(drained, (std::vector<std::uint64_t>{1, 3}));
 }
 
@@ -279,61 +314,455 @@ TEST(ShardedIndexIo, RoundTripsThroughDwiV3)
     std::remove(path.c_str());
 }
 
-TEST(StreamingPipeline, PackedRunIsBitIdenticalToByteRun)
-{
-    const auto pair = small_pair("dm6-droSim1", 30000);
-    const WgaPipeline pipeline(WgaParams::darwin_defaults());
-    const auto classic =
-        pipeline.run(pair.target.genome, pair.query.genome);
-    const auto packed =
-        pipeline.run_packed(pair.target.genome, pair.query.genome);
-    expect_identical(classic, packed);
+/** Installs a fault plan for one scope. */
+struct PlanGuard {
+    explicit PlanGuard(const fault::FaultPlan& plan)
+    {
+        fault::install_fault_plan(&plan);
+    }
+    ~PlanGuard() { fault::install_fault_plan(nullptr); }
+    PlanGuard(const PlanGuard&) = delete;
+    PlanGuard& operator=(const PlanGuard&) = delete;
+};
 
-    // Both strands over a pool: packed strands run concurrently, as
-    // byte strands do, and the output keeps strand order.
-    WgaParams both = WgaParams::darwin_defaults();
-    both.align_both_strands = true;
-    const WgaPipeline both_pipeline(both);
-    ThreadPool pool(3);
-    expect_identical(
-        both_pipeline.run(pair.target.genome, pair.query.genome, &pool),
-        both_pipeline.run_packed(pair.target.genome, pair.query.genome,
-                                 &pool));
+/**
+ * The materialized stage composition every strand-driver configuration
+ * must reproduce: seed_all -> filter_all -> extend_all per strand over
+ * byte storage and a byte-built index, forward then reverse, then the
+ * chain.
+ */
+WgaResult
+stage_reference(const WgaParams& params, const synth::SpeciesPair& pair)
+{
+    const seq::Sequence& target = pair.target.genome.flattened();
+    const seed::SeedIndex index(target,
+                                seed::SeedPattern(params.seed_pattern));
+    const align::GactXTileAligner aligner(params.gactx);
+    WgaResult result;
+    for (std::size_t s = 0; s < (params.align_both_strands ? 2u : 1u);
+         ++s) {
+        const seq::Sequence query =
+            s == 0 ? pair.query.genome.flattened()
+                   : pair.query.genome.flattened().reverse_complement();
+        const std::span<const std::uint8_t> t(target.codes());
+        const std::span<const std::uint8_t> q(query.codes());
+        const auto hits = seed::DsoftSeeder(index, params.dsoft)
+                              .seed_all(query, &result.stats.seeding);
+        const auto candidates =
+            FilterStage(params, t, q).filter_all(hits, &result.stats.filter);
+        for (auto& alignment :
+             ExtendStage(params, t, q)
+                 .extend_all(candidates, aligner, &result.stats.extend)) {
+            alignment.query_strand =
+                s == 0 ? align::Strand::Forward : align::Strand::Reverse;
+            result.alignments.push_back(std::move(alignment));
+        }
+    }
+    result.chains =
+        chain::chain_alignments(result.alignments, chain::ChainParams{});
+    return result;
 }
 
-TEST(StreamingPipeline, StreamingRunIsBitIdenticalIncludingMaf)
+/** Same output and the same stage workload. Sharded runs re-scan the
+ *  query once per shard, so only their lookup count differs. */
+void
+expect_same_work(const WgaResult& reference, const WgaResult& run,
+                 bool sharded)
 {
-    const auto pair = small_pair("ce11-cb4", 30000);
-    const WgaPipeline pipeline(WgaParams::darwin_defaults());
-    const auto classic =
-        pipeline.run(pair.target.genome, pair.query.genome);
+    expect_identical(reference, run);
+    const PipelineStats& a = reference.stats;
+    const PipelineStats& b = run.stats;
+    if (!sharded) {
+        EXPECT_EQ(a.seeding.seed_lookups, b.seeding.seed_lookups);
+    }
+    EXPECT_EQ(a.seeding.candidates, b.seeding.candidates);
+    EXPECT_EQ(a.filter.tiles, b.filter.tiles);
+    EXPECT_EQ(a.filter.cells, b.filter.cells);
+    EXPECT_EQ(a.filter.passed, b.filter.passed);
+    EXPECT_EQ(a.extend.anchors_in, b.extend.anchors_in);
+    EXPECT_EQ(a.extend.absorbed, b.extend.absorbed);
+    EXPECT_EQ(a.extend.alignments_out, b.extend.alignments_out);
+    EXPECT_EQ(a.extend.matched_bases, b.extend.matched_bases);
+    EXPECT_EQ(a.extend.extension.cells, b.extend.extension.cells);
+}
 
-    // Tiny capacities force sharding, spilling, and candidate chunk
-    // merges — the stress configuration must still be bit-identical.
+/** The kernel gauges every run publishes. */
+void
+expect_kernel_gauges(const obs::MetricsRegistry& metrics)
+{
+    const int active = align::kernels::KernelRegistry::instance().active().id;
+    for (const char* name : {"wga.filter.kernel", "wga.extend.kernel"}) {
+        const auto* gauge = metrics.find_gauge(name);
+        ASSERT_NE(gauge, nullptr) << name;
+        EXPECT_EQ(gauge->value(), active) << name;
+    }
+}
+
+/** Every metric name a registry holds, across the three kinds. */
+std::vector<std::string>
+metric_names(const obs::MetricsRegistry& metrics)
+{
+    const obs::MetricsSnapshot snapshot = metrics.snapshot();
+    std::vector<std::string> names;
+    for (const auto& entry : snapshot.counters)
+        names.push_back(entry.first);
+    for (const auto& entry : snapshot.gauges)
+        names.push_back(entry.first);
+    for (const auto& entry : snapshot.histograms)
+        names.push_back(entry.first);
+    return names;
+}
+
+/** The pair the configuration suite aligns, both strands. */
+const synth::SpeciesPair&
+driver_pair()
+{
+    static const synth::SpeciesPair pair = small_pair("ce11-cb4", 15000);
+    return pair;
+}
+
+WgaParams
+both_strands()
+{
+    WgaParams params = WgaParams::darwin_defaults();
+    params.align_both_strands = true;
+    return params;
+}
+
+enum class Storage { Byte, Packed };
+enum class IndexSource { Built, Prebuilt, Sharded };
+
+/** One strand-driver configuration. */
+struct DriverConfig {
+    Storage storage;
+    IndexSource index;
+    OverflowPolicy overflow;
+    bool pool;
+};
+
+std::vector<DriverConfig>
+all_configs()
+{
+    std::vector<DriverConfig> configs;
+    for (const Storage storage : {Storage::Byte, Storage::Packed})
+        for (const IndexSource index :
+             {IndexSource::Built, IndexSource::Prebuilt, IndexSource::Sharded})
+            for (const OverflowPolicy overflow :
+                 {OverflowPolicy::Spill, OverflowPolicy::Backpressure})
+                for (const bool pool : {true, false})
+                    configs.push_back({storage, index, overflow, pool});
+    return configs;
+}
+
+/** Test names print the configuration, e.g. packed_sharded_spill_pool. */
+void
+PrintTo(const DriverConfig& c, std::ostream* os)
+{
+    static const char* const kIndex[] = {"built", "prebuilt", "sharded"};
+    *os << (c.storage == Storage::Byte ? "byte" : "packed") << "_"
+        << kIndex[static_cast<int>(c.index)] << "_"
+        << (c.overflow == OverflowPolicy::Spill ? "spill" : "backpressure")
+        << (c.pool ? "_pool" : "_nopool");
+}
+
+/**
+ * Storage x index source x overflow policy x pool: every combination
+ * of the one strand driver reproduces the materialized stage
+ * composition, both strands, with its workload counters. "built"
+ * indexes the run's own storage, "prebuilt" maps a saved .dwi (the
+ * serve and batch-cache path), "sharded" builds 6 kb band shards one
+ * at a time. Spill configurations take tiny capacities so the
+ * candidate buffer always spills; backpressure configurations must
+ * neither spill nor publish wga.heap.* gauges.
+ */
+class StrandDriverIdentity : public ::testing::TestWithParam<DriverConfig> {};
+
+TEST_P(StrandDriverIdentity, MatchesStageReference)
+{
+    const DriverConfig config = GetParam();
+    const WgaParams params = both_strands();
+    const synth::SpeciesPair& pair = driver_pair();
+    static const WgaResult reference = stage_reference(params, pair);
+    const seq::Genome& target = pair.target.genome;
+    const seq::Genome& query = pair.query.genome;
+    const auto view = [&config](const seq::Genome& genome) {
+        if (config.storage == Storage::Packed)
+            return seq::BaseView(genome.flattened_packed());
+        return seq::BaseView(
+            std::span<const std::uint8_t>(genome.flattened().codes()));
+    };
+
+    const seed::SeedPattern pattern(params.seed_pattern);
+    std::shared_ptr<const seed::SeedIndex> index;
+    std::unique_ptr<seed::ShardedSeedIndexBuilder> shards;
+    Dataflow flow;
+    if (config.index == IndexSource::Built) {
+        index = config.storage == Storage::Packed
+                    ? std::make_shared<const seed::SeedIndex>(
+                          target.flattened_packed(), pattern)
+                    : std::make_shared<const seed::SeedIndex>(
+                          target.flattened(), pattern);
+    } else if (config.index == IndexSource::Prebuilt) {
+        const std::string path = testing::temp_path("driver.dwi");
+        index::save_index(path, seed::SeedIndex(target.flattened(), pattern),
+                          index::sequence_digest(target.flattened()),
+                          target.flattened().size());
+        index = index::load_index(path);
+        std::remove(path.c_str());
+    } else {
+        shards = std::make_unique<seed::ShardedSeedIndexBuilder>(
+            target.flattened_packed(), pattern,
+            seed::SeedIndex::kDefaultMaxBucket, 6000,
+            params.dsoft.chunk_size, params.dsoft.bin_size);
+        ASSERT_GT(shards->num_shards(), 1u);
+    }
+    flow.index = index.get();
+    flow.shards = shards.get();
+    flow.overflow = config.overflow;
+    flow.capacities.hit_stream_capacity = 64;
+    flow.capacities.candidate_chunk = 16;
+    flow.capacities.filter_batch = 32;
+    ThreadPool pool(3);
+    flow.pool = config.pool ? &pool : nullptr;
+    obs::MetricsRegistry metrics;
+    flow.metrics = &metrics;
+
+    const WgaPipeline pipeline(params);
+    const WgaResult run =
+        pipeline.run_dataflow(flow, view(target), view(query));
+    expect_same_work(reference, run, config.index == IndexSource::Sharded);
+
+    expect_kernel_gauges(metrics);
+    EXPECT_EQ(metrics.counter("wga.filter.tiles").value(),
+              run.stats.filter.tiles);
+    EXPECT_EQ(metrics.counter("wga.extend.alignments").value(),
+              run.alignments.size());
+    if (config.overflow == OverflowPolicy::Spill) {
+        EXPECT_GT(run.stats.channels.spilled_bytes, 0u);
+        EXPECT_GT(metrics.gauge("wga.heap.hit_stream_bytes").value(), 0);
+        EXPECT_EQ(metrics.gauge("wga.heap.hits_pushed").value(),
+                  static_cast<std::int64_t>(run.stats.seeding.candidates));
+    } else {
+        EXPECT_EQ(run.stats.channels.hit_stream_bytes, 0u);
+        EXPECT_EQ(run.stats.channels.spilled_bytes, 0u);
+        EXPECT_EQ(metrics.gauge_snapshot("wga.heap.").size(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, StrandDriverIdentity,
+                         ::testing::ValuesIn(all_configs()));
+
+TEST(StrandDriver, EveryEntryPointMatchesTheStageReference)
+{
+    // Each entry point is a configuration of the driver, and each
+    // publishes the same kernel gauges; the in-RAM ones publish only
+    // those under wga.* gauges.
+    const WgaParams params = both_strands();
+    const synth::SpeciesPair& pair = driver_pair();
+    const WgaResult reference = stage_reference(params, pair);
+    const seq::Genome& target = pair.target.genome;
+    const seq::Genome& query = pair.query.genome;
+    const WgaPipeline pipeline(params);
+    const seed::SeedIndex index(target.flattened_packed(),
+                                seed::SeedPattern(params.seed_pattern));
+    ThreadPool pool(2);
+
+    const auto check = [&](const char* entry, bool in_ram,
+                           const std::function<WgaResult(
+                               obs::MetricsRegistry*)>& run) {
+        SCOPED_TRACE(entry);
+        obs::MetricsRegistry metrics;
+        expect_same_work(reference, run(&metrics), !in_ram);
+        expect_kernel_gauges(metrics);
+        if (in_ram) {
+            EXPECT_EQ(metrics.gauge_snapshot("wga.").size(), 2u);
+        } else {
+            EXPECT_GT(metrics.gauge("wga.heap.hit_stream_bytes").value(), 0);
+        }
+        for (const std::string& name : metric_names(metrics)) {
+            EXPECT_NE(name.rfind("wga.batch.", 0), 0u) << name;
+            EXPECT_NE(name.rfind("batch.backend.", 0), 0u) << name;
+        }
+    };
+    check("run", true, [&](obs::MetricsRegistry* m) {
+        return pipeline.run(target, query, &pool, m);
+    });
+    check("run_packed", true, [&](obs::MetricsRegistry* m) {
+        return pipeline.run_packed(target, query, nullptr, m);
+    });
+    check("run_with_index", true, [&](obs::MetricsRegistry* m) {
+        return pipeline.run_with_index(index, target.flattened(),
+                                       query.flattened(), nullptr, m);
+    });
+    check("run_with_index, packed", true, [&](obs::MetricsRegistry* m) {
+        return pipeline.run_with_index(
+            index, target.flattened_packed(), query.flattened_packed(), &pool,
+            m);
+    });
     StreamingParams sp;
     sp.shard_bp = 7000;
-    sp.hit_stream_capacity = 64;
-    sp.candidate_chunk = 16;
-    sp.filter_batch = 32;
-    obs::MetricsRegistry metrics;
-    const auto streamed = pipeline.run_streaming(
-        pair.target.genome, pair.query.genome, sp, nullptr, &metrics);
-    expect_identical(classic, streamed);
-
-    // Telemetry: the dataflow reported its residency and throughput.
-    EXPECT_GT(metrics.gauge("wga.heap.hits_pushed").value(), 0);
-    EXPECT_GT(metrics.gauge("wga.heap.hit_stream_bytes").value(), 0);
-
-    // And the rendered MAF matches byte for byte.
-    std::ostringstream maf_classic, maf_streamed;
-    write_maf(maf_classic, classic.alignments, pair.target.genome,
-              pair.query.genome);
-    write_maf(maf_streamed, streamed.alignments, pair.target.genome,
-              pair.query.genome);
-    EXPECT_EQ(maf_classic.str(), maf_streamed.str());
+    check("run_streaming", false, [&](obs::MetricsRegistry* m) {
+        return pipeline.run_streaming(target, query, sp, &pool, m);
+    });
+    for (const bool streaming : {false, true}) {
+        check(streaming ? "batch --streaming" : "batch", !streaming,
+              [&](obs::MetricsRegistry* m) {
+                  batch::BatchOptions options;
+                  options.params = params;
+                  options.num_threads = 2;
+                  options.streaming = streaming;
+                  options.streaming_params = sp;
+                  batch::BatchScheduler scheduler(options, m);
+                  auto results = scheduler.run({{"pair", &target, &query}});
+                  EXPECT_EQ(results.at(0).status, fault::PairStatus::Clean);
+                  return std::move(results.at(0).result);
+              });
+    }
 }
 
-TEST(StreamingPipeline, PackedGenomesRenderIdenticalMaf)
+TEST(StrandDriver, PerChunkCapWithPrebuiltIndexMatchesStageReference)
+{
+    // The batch engine's degraded retry caps hits per query chunk and
+    // keeps the cached (prebuilt) index: one shard, so the cap applies
+    // to whole chunks exactly as seed_all applies it.
+    WgaParams params = both_strands();
+    params.dsoft.max_hits_per_chunk = 2;
+    const synth::SpeciesPair& pair = driver_pair();
+    const WgaResult reference = stage_reference(params, pair);
+    EXPECT_LT(reference.stats.seeding.candidates,
+              stage_reference(both_strands(), pair)
+                  .stats.seeding.candidates);
+    const seed::SeedIndex index(pair.target.genome.flattened(),
+                                seed::SeedPattern(params.seed_pattern));
+    const WgaPipeline pipeline(params);
+    ThreadPool pool(2);
+    expect_same_work(reference,
+                     pipeline.run_with_index(
+                         index, pair.target.genome.flattened(),
+                         pair.query.genome.flattened(), &pool),
+                     false);
+    // A one-shard streaming run keeps the cap too.
+    expect_same_work(reference,
+                     pipeline.run_streaming(pair.target.genome,
+                                            pair.query.genome,
+                                            StreamingParams{}),
+                     false);
+}
+
+TEST(StrandDriver, RejectsUngappedPackedAndShardedPerChunkCaps)
+{
+    const auto pair = small_pair("dm6-droSim1", 8000);
+    StreamingParams sp;
+    const WgaPipeline lastz(WgaParams::lastz_defaults());
+    EXPECT_THROW((void)lastz.run_streaming(pair.target.genome,
+                                           pair.query.genome, sp),
+                 FatalError);
+    EXPECT_THROW(
+        (void)lastz.run_packed(pair.target.genome, pair.query.genome),
+        FatalError);
+    auto params = WgaParams::darwin_defaults();
+    params.dsoft.max_hits_per_chunk = 100;
+    const WgaPipeline capped(params);
+    sp.shard_bp = 3000;
+    EXPECT_THROW((void)capped.run_streaming(pair.target.genome,
+                                            pair.query.genome, sp),
+                 FatalError);
+}
+
+TEST(StrandDriver, UngappedPresetOnByteStorageMatchesStageReference)
+{
+    // The LASTZ baseline's ungapped filter reads byte storage only.
+    WgaParams params = WgaParams::lastz_defaults();
+    params.align_both_strands = true;
+    const synth::SpeciesPair& pair = driver_pair();
+    const WgaResult reference = stage_reference(params, pair);
+    EXPECT_GT(reference.alignments.size(), 0u);
+    const WgaPipeline pipeline(params);
+    ThreadPool pool(2);
+    expect_same_work(reference,
+                     pipeline.run(pair.target.genome, pair.query.genome),
+                     false);
+    expect_same_work(
+        reference,
+        pipeline.run(pair.target.genome, pair.query.genome, &pool), false);
+}
+
+TEST(StrandDriver, ProducerFaultReachesTheCallerTagged)
+{
+    // A fault on the seeding producer thread surfaces on the caller as
+    // the tagged InjectedFault, the producer retired (no hang), and the
+    // failure is attributed to the seed stage.
+    const auto plan = fault::FaultPlan::parse("seed.chunk:throw:count=0");
+    const PlanGuard guard(plan);
+    const synth::SpeciesPair& pair = driver_pair();
+    const WgaPipeline pipeline(both_strands());
+    ThreadPool pool(2);
+    const auto expect_seed_fault = [](const std::function<void()>& run) {
+        try {
+            run();
+            ADD_FAILURE() << "the seed.chunk fault did not surface";
+        } catch (const fault::InjectedFault& error) {
+            EXPECT_EQ(error.probe(), "seed.chunk");
+        }
+    };
+    expect_seed_fault(
+        [&] { pipeline.run(pair.target.genome, pair.query.genome, &pool); });
+    StreamingParams sp;
+    sp.hit_stream_capacity = 64;
+    expect_seed_fault([&] {
+        pipeline.run_streaming(pair.target.genome, pair.query.genome, sp);
+    });
+
+    const seed::SeedIndex index(pair.target.genome.flattened_packed(),
+                                seed::SeedPattern(both_strands().seed_pattern));
+    Dataflow flow;
+    flow.index = &index;
+    PipelineStats stats;
+    const char* stage = "none";
+    expect_seed_fault([&] {
+        run_strand(both_strands(), flow,
+                   pair.target.genome.flattened_packed(),
+                   pair.query.genome.flattened_packed(),
+                   align::Strand::Forward, &stats, &stage);
+    });
+    EXPECT_STREQ(stage, "seed");
+}
+
+TEST(StrandDriver, InRamEntryPointsOpenNoSpillFile)
+{
+    // Any spill write throws under this plan: the in-RAM entry points
+    // never write one; run_streaming at tiny capacities does.
+    const auto plan = fault::FaultPlan::parse("stream.spill_write:throw:count=0");
+    const PlanGuard guard(plan);
+    const synth::SpeciesPair& pair = driver_pair();
+    const seq::Genome& target = pair.target.genome;
+    const seq::Genome& query = pair.query.genome;
+    const WgaPipeline pipeline(both_strands());
+    const seed::SeedIndex index(target.flattened(),
+                                seed::SeedPattern(both_strands().seed_pattern));
+    ThreadPool pool(2);
+    EXPECT_NO_THROW(pipeline.run(target, query, &pool));
+    EXPECT_NO_THROW(pipeline.run_packed(target, query));
+    EXPECT_NO_THROW(pipeline.run_with_index(index, target.flattened(),
+                                            query.flattened()));
+    EXPECT_NO_THROW(pipeline.run_with_index(
+        index, target.flattened_packed(), query.flattened_packed(), &pool));
+    batch::BatchOptions options;
+    options.params = both_strands();
+    options.num_threads = 2;
+    batch::BatchScheduler scheduler(options);
+    EXPECT_EQ(scheduler.run({{"pair", &target, &query}}).at(0).status,
+              fault::PairStatus::Clean);
+    EXPECT_EQ(plan.injected(), 0u);
+
+    StreamingParams sp;
+    sp.hit_stream_capacity = 64;
+    sp.candidate_chunk = 16;
+    EXPECT_THROW(pipeline.run_streaming(target, query, sp),
+                 fault::InjectedFault);
+}
+
+TEST(StrandDriver, PackedGenomesRenderIdenticalMaf)
 {
     // Genomes ingested as packed storage end to end: alignments and
     // MAF must match the byte-mode run exactly.
@@ -361,37 +790,6 @@ TEST(StreamingPipeline, PackedGenomesRenderIdenticalMaf)
     write_maf(maf_packed, streamed.alignments, packed_target,
               packed_query);
     EXPECT_EQ(maf_classic.str(), maf_packed.str());
-}
-
-TEST(StreamingPipeline, RunWithIndexPackedMatchesRunPacked)
-{
-    const auto pair = small_pair("dm6-dp4", 15000);
-    const WgaPipeline pipeline(WgaParams::darwin_defaults());
-    const auto baseline =
-        pipeline.run_packed(pair.target.genome, pair.query.genome);
-    const seed::SeedIndex index(
-        pair.target.genome.flattened_packed(),
-        seed::SeedPattern(pipeline.params().seed_pattern));
-    const auto with_index = pipeline.run_with_index_packed(
-        index, pair.target.genome.flattened_packed(),
-        pair.query.genome.flattened_packed());
-    expect_identical(baseline, with_index);
-}
-
-TEST(StreamingPipeline, RejectsUngappedAndPerChunkCaps)
-{
-    const auto pair = small_pair("dm6-droSim1", 8000);
-    StreamingParams sp;
-    const WgaPipeline lastz(WgaParams::lastz_defaults());
-    EXPECT_THROW((void)lastz.run_streaming(pair.target.genome,
-                                           pair.query.genome, sp),
-                 FatalError);
-    auto params = WgaParams::darwin_defaults();
-    params.dsoft.max_hits_per_chunk = 100;
-    const WgaPipeline capped(params);
-    EXPECT_THROW((void)capped.run_streaming(pair.target.genome,
-                                            pair.query.genome, sp),
-                 FatalError);
 }
 
 TEST(BatchStreaming, StreamingModeMatchesTheDataflowEngine)

@@ -218,12 +218,11 @@ main(int argc, char** argv)
     args.add_option("outdir", "batch_out", "output directory");
     args.add_option("threads", "0", "worker threads (0 = all cores)");
     args.add_flag("streaming",
-                  "bounded-memory mode: run each pair whole through "
-                  "the streaming pipeline (2-bit packed storage, seed "
-                  "table built one band shard at a time, hits and "
-                  "candidates through spill-or-backpressure channels). "
-                  "Output is bit-identical; gapped (darwin) preset "
-                  "only");
+                  "bounded-memory mode: strand tasks run the streaming "
+                  "configuration (2-bit packed storage, seed table "
+                  "built one band shard at a time, hits and candidates "
+                  "through channels that spill to disk). Output is "
+                  "bit-identical; gapped (darwin) preset only");
     args.add_option("stream-shard-bp", "8388608",
                     "band-start bp per target seed-table shard in "
                     "--streaming mode");

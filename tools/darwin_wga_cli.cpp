@@ -61,8 +61,8 @@ cmd_align(int argc, char** argv)
     args.add_flag("streaming",
                   "bounded-memory run for large genomes: 2-bit "
                   "storage, the seed table built one band shard at a "
-                  "time, hits and candidates through spill-or-"
-                  "backpressure channels. Implies --packed ingestion; "
+                  "time, hits and candidates through channels that "
+                  "spill to disk. Implies --packed ingestion; "
                   "output is bit-identical. Gapped (darwin) preset "
                   "only");
     args.add_option("stream-shard-bp", "8388608",
